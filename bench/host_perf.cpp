@@ -12,7 +12,7 @@
 //   --quick  ~10x fewer iterations (CI smoke mode)
 //   --out    JSON output path (default: BENCH_host.json in the cwd)
 //
-// JSON schema (lcmpi-host-perf-v10):
+// JSON schema (lcmpi-host-perf-v11):
 //   matching[]   — ns/match for bucketed vs linear posted + unexpected
 //                  queues at several steady-state depths, with speedups
 //   event_kernel — callback-event dispatch and timer borrow/cancel/release
@@ -76,22 +76,19 @@
 //                  budget. The process exits nonzero if the floor or the
 //                  budget is missed.
 //   bulk_plane   — REAL bulk-data-plane numbers: a one-way rendezvous
-//                  bandwidth sweep (64 KiB .. 4 MiB) per transport —
-//                  ThreadsWorld direct handoff, SocketWorld AF_UNIX with the
-//                  memfd ring / dedicated stream socket / inline (pre-bulk
-//                  baseline) planes, and AF_INET with MSG_ZEROCOPY — with a
+//                  bandwidth sweep (64 KiB .. 4 MiB) per transport, each on
+//                  its one plane — ThreadsWorld direct handoff, SocketWorld
+//                  AF_UNIX memfd ring, AF_INET stream socket — with a
 //                  least-squares y(N) = a + b*N fit per transport (a = fixed
 //                  per-transfer cost, 1/b = asymptotic bytes/sec). Timings
 //                  are taken INSIDE rank 0 and shipped out via run_collect,
-//                  so fork + rendezvous cost is excluded. Two gates: the
-//                  memfd plane must deliver >= 2x the inline plane's
-//                  large-transfer bandwidth, and the eager ping-pong RTT
-//                  measured concurrently with a huge in-flight rendezvous
-//                  must stay <= 2x the idle RTT or inside an absolute
-//                  envelope (bulk/control isolation — the whole point of
-//                  the split data plane; the envelope keeps idle-latency
-//                  improvements from flunking the ratio). The process
-//                  exits nonzero if either gate fails.
+//                  so fork + rendezvous cost is excluded. One gate: the
+//                  eager ping-pong RTT measured concurrently with a huge
+//                  in-flight rendezvous must stay <= 2x the idle RTT or
+//                  inside an absolute envelope (bulk/control isolation —
+//                  the whole point of the split data plane; the envelope
+//                  keeps idle-latency improvements from flunking the
+//                  ratio). The process exits nonzero if it fails.
 //   collectives  — VIRTUAL-time sweep of the collective-algorithm engine on
 //                  the CS/2 model: (size x ranks x algorithm) for bcast and
 //                  allreduce with hw offload disabled, an hw-enabled bcast
@@ -1096,10 +1093,10 @@ LauncherResult launcher_point(bool quick) {
 //
 // Isolation: with a huge rendezvous in flight 1 -> 0, rank 0 runs eager
 // ping-pongs against rank 1 and compares the loaded RTT to the idle RTT
-// measured moments earlier in the same world. On the inline plane the bulk
-// payload serialises ahead of control frames; on the split planes the bulk
-// bytes move in 256 KiB pump quanta on their own socket/ring, so control
-// frames overtake them.
+// measured moments earlier in the same world. Had the bulk payload ridden
+// the control socket inline, it would serialise ahead of control frames; on
+// the bulk plane its bytes move in 256 KiB pump quanta on their own
+// socket/ring, so control frames overtake them.
 
 struct BulkTransport {
   std::string name;
@@ -1107,12 +1104,10 @@ struct BulkTransport {
   BulkFit fit;
 };
 
-struct BulkPlaneResult {
+struct BulkResult {
   int reps = 0;
   std::vector<std::size_t> sizes;
   std::vector<BulkTransport> transports;
-  double memfd_vs_inline = 0;   // bandwidth ratio at the largest size
-  bool bandwidth_bar = false;   // memfd >= 2x inline at >= 1 MiB
   std::size_t isolation_bulk_bytes = 0;
   std::uint64_t isolation_rounds = 0;
   double idle_usec_per_rtt = 0;
@@ -1139,7 +1134,7 @@ double bulk_push_seconds(mpi::Comm& c, std::size_t size, int reps) {
   const auto byte = mpi::Datatype::byte_type();
   std::vector<unsigned char> buf(size, 0xb5);
   unsigned char ack = 0;
-  // Warmup: first rendezvous on a fresh pair walks the negotiation path.
+  // Warmup: first rendezvous on a fresh pair dials the bulk channel.
   if (c.rank() == 0) {
     c.send(buf.data(), static_cast<int>(size), byte, 1, 7);
   } else {
@@ -1212,8 +1207,8 @@ double unpack_double(const Bytes& b, std::size_t i) {
   return v;
 }
 
-BulkPlaneResult bulk_plane_point(bool quick) {
-  BulkPlaneResult r;
+BulkResult bulk_plane_point(bool quick) {
+  BulkResult r;
   // Enough reps to amortise scheduler quanta — on a single-CPU host the
   // two rank processes time-slice, so short runs measure the scheduler.
   r.reps = quick ? 32 : 64;
@@ -1257,46 +1252,16 @@ BulkPlaneResult bulk_plane_point(bool quick) {
     return unpack_double(out[0], 0);
   };
   {
-    fabric::SocketFabric::Options opt;  // AF_UNIX + memfd ring (default)
+    fabric::SocketFabric::Options opt;  // AF_UNIX: memfd ring
     add_transport("unix-memfd",
                   [&, opt](std::size_t size) { return socket_bw(opt, size); });
   }
   {
     fabric::SocketFabric::Options opt;
-    opt.bulk = fabric::SocketFabric::Bulk::kStream;
-    add_transport("unix-stream",
-                  [&, opt](std::size_t size) { return socket_bw(opt, size); });
-  }
-  {
-    fabric::SocketFabric::Options opt;
-    opt.bulk = fabric::SocketFabric::Bulk::kInline;  // pre-bulk baseline
-    add_transport("unix-inline",
-                  [&, opt](std::size_t size) { return socket_bw(opt, size); });
-  }
-  {
-    fabric::SocketFabric::Options opt;
-    opt.domain = fabric::SocketFabric::Domain::kInet;  // stream + MSG_ZEROCOPY
+    opt.domain = fabric::SocketFabric::Domain::kInet;  // stream socket
     add_transport("inet-stream",
                   [&, opt](std::size_t size) { return socket_bw(opt, size); });
   }
-
-  const auto find = [&](const char* name) -> const BulkTransport& {
-    for (const BulkTransport& t : r.transports)
-      if (t.name == name) return t;
-    std::fprintf(stderr, "bulk_plane: missing transport %s\n", name);
-    std::exit(1);
-  };
-  // Gate on the measured >= 1 MiB points (both must clear), not the fit:
-  // the fit's intercept can soak up noise the gate should see.
-  const BulkTransport& memfd = find("unix-memfd");
-  const BulkTransport& inline_t = find("unix-inline");
-  double worst = 1e9;
-  for (std::size_t i = 0; i < r.sizes.size(); ++i) {
-    if (r.sizes[i] < (1u << 20)) continue;
-    worst = std::min(worst, memfd.points[i].mb_per_sec / inline_t.points[i].mb_per_sec);
-  }
-  r.memfd_vs_inline = worst;
-  r.bandwidth_bar = worst >= 2.0;
 
   // Control/bulk isolation on the default SocketWorld transport.
   r.isolation_bulk_bytes = quick ? (8u << 20) : (64u << 20);
@@ -1490,14 +1455,14 @@ void write_json(const std::string& path, bool quick,
                 const ThreadsWorldResult& tw, const RmaResult& rma,
                 const SocketWorldResult& sw,
                 const SocketScaleResult& scale, const LauncherResult& lr,
-                const BulkPlaneResult& bp, const CollectivesResult& coll,
+                const BulkResult& bp, const CollectivesResult& coll,
                 const EndToEnd& e2e) {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) {
     std::fprintf(stderr, "host_perf: cannot open %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": \"lcmpi-host-perf-v10\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"lcmpi-host-perf-v11\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"matching\": [\n");
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -1666,13 +1631,11 @@ void write_json(const std::string& path, bool quick,
                  i + 1 < bp.transports.size() ? "," : "");
   }
   std::fprintf(f,
-               "    ],\n    \"memfd_vs_inline\": %.2f, "
-               "\"bandwidth_bar\": %s,\n"
+               "    ],\n"
                "    \"isolation\": {\"bulk_bytes\": %zu, \"rounds\": %llu, "
                "\"idle_usec_per_rtt\": %.2f, \"loaded_usec_per_rtt\": %.2f, "
                "\"ratio\": %.2f, \"loaded_envelope_usec\": %.1f, "
                "\"isolation_bar\": %s}},\n",
-               bp.memfd_vs_inline, bp.bandwidth_bar ? "true" : "false",
                bp.isolation_bulk_bytes,
                static_cast<unsigned long long>(bp.isolation_rounds),
                bp.idle_usec_per_rtt, bp.loaded_usec_per_rtt, bp.isolation_ratio,
@@ -1907,7 +1870,7 @@ int run(int argc, char** argv) {
 
   std::printf("\nhost_perf: bulk plane (rendezvous bandwidth sweep + "
               "control/bulk isolation)\n");
-  const BulkPlaneResult bp = bulk_plane_point(quick);
+  const BulkResult bp = bulk_plane_point(quick);
   std::printf("  %-12s %10s %10s %10s %10s | fit a=%s, 1/b=%s\n", "transport",
               "64K", "256K", "1M", "4M", "usec", "MB/s");
   for (const BulkTransport& t : bp.transports) {
@@ -1916,10 +1879,6 @@ int run(int argc, char** argv) {
     std::printf("  | a=%.1f us, %.0f MB/s\n", t.fit.a_usec,
                 t.fit.bytes_per_sec / 1e6);
   }
-  std::printf("  memfd vs inline bandwidth (worst point >= 1 MiB): %.2fx\n",
-              bp.memfd_vs_inline);
-  std::printf("bulk bandwidth bar (memfd >= 2x inline at >= 1 MiB): %s\n",
-              bp.bandwidth_bar ? "PASS" : "FAIL");
   std::printf("  control RTT: idle %.2f us, with %zu MiB bulk in flight "
               "%.2f us (%.2fx)\n",
               bp.idle_usec_per_rtt, bp.isolation_bulk_bytes >> 20,
@@ -1968,8 +1927,7 @@ int run(int argc, char** argv) {
   std::printf("\nwrote %s\n", out.c_str());
   return meets_bar && sched_ok && actor_ok && tw.meets_bar && rma.meets_bar &&
                  sw.meets_bar && scale.fds_bar && lr.meets_bar &&
-                 bp.bandwidth_bar && bp.isolation_bar && coll.auto_bar &&
-                 coll.hw_bar
+                 bp.isolation_bar && coll.auto_bar && coll.hw_bar
              ? 0
              : 1;
 }

@@ -904,7 +904,8 @@ void Comm::scatter(const void* sendbuf, void* recvbuf, int recvcount, const Data
     std::vector<Request> reqs;
     for (int r = 0; r < size(); ++r) {
       if (r == my_rank_) {
-        std::memcpy(recvbuf, in + static_cast<std::size_t>(r) * block, block);
+        // A zero-count call may pass null buffers, which memcpy forbids.
+        if (block > 0) std::memcpy(recvbuf, in + static_cast<std::size_t>(r) * block, block);
         continue;
       }
       reqs.push_back(eng_->isend(in + static_cast<std::size_t>(r) * block, recvcount, type,
@@ -925,7 +926,7 @@ void Comm::allgather(const void* sendbuf, int sendcount, void* recvbuf,
   const int n = size();
   const std::size_t block = static_cast<std::size_t>(type.size() * sendcount);
   auto* out = static_cast<std::byte*>(recvbuf);
-  std::memcpy(out + static_cast<std::size_t>(my_rank_) * block, sendbuf, block);
+  if (block > 0) std::memcpy(out + static_cast<std::size_t>(my_rank_) * block, sendbuf, block);
   const int right = (my_rank_ + 1) % n;
   const int left = (my_rank_ - 1 + n) % n;
   int have = my_rank_;  // block we forward this step

@@ -47,6 +47,18 @@ Request Engine::isend(const void* buf, int count, const Datatype& type, int dst_
                       std::int32_t tag, std::uint32_t context, Mode mode) {
   if (count < 0 || dst_world < 0 || dst_world >= nranks() || tag < 0)
     raise(Err::kBadArgument, "invalid isend arguments");
+  const std::int64_t nbytes = type.size() * count;
+  // A send whose flow cost exceeds the whole credit window would wait in
+  // the deferred queue forever: refuse it instead of hanging.
+  if (caps().flow == FlowControl::kCredit && dst_world != rank() &&
+      flow_cost(nbytes) > caps().credit_bytes) {
+    raise(Err::kResources,
+          "a " + std::to_string(nbytes) + " B send needs " +
+              std::to_string(flow_cost(nbytes)) +
+              " B of credit, more than the whole window: eager_threshold = " +
+              std::to_string(eager_threshold()) + " B, credit_bytes = " +
+              std::to_string(caps().credit_bytes) + " B");
+  }
   const fabric::MpiCosts& c = ep_.fabric().mpi_costs();
   const TimePoint isend_entry = now();
   self_.advance(c.envelope_build + c.bookkeeping);
@@ -64,7 +76,6 @@ Request Engine::isend(const void* buf, int count, const Datatype& type, int dst_
   req->send_type = type;
   req->needs_ssend_ack = (mode == Mode::kSynchronous);
 
-  const std::int64_t nbytes = type.size() * count;
   if (nbytes <= eager_threshold()) {
     // Eager: pack now; the payload travels with the envelope.
     req->send_payload = type.pack(buf, count);
@@ -96,8 +107,7 @@ Request Engine::isend(const void* buf, int count, const Datatype& type, int dst_
   return req;
 }
 
-std::int64_t Engine::flow_cost(const RequestState& r) const {
-  const std::int64_t nbytes = r.send_type.size() * r.send_count;
+std::int64_t Engine::flow_cost(std::int64_t nbytes) const {
   if (nbytes <= eager_threshold()) return caps().control_record_bytes + nbytes;
   return caps().control_record_bytes;  // RTS envelope only
 }
@@ -120,7 +130,7 @@ void Engine::try_launch(int dst) {
           slot_free_[static_cast<std::size_t>(dst)] = false;
           break;
         case FlowControl::kCredit: {
-          const std::int64_t need = flow_cost(*req);
+          const std::int64_t need = flow_cost(req->send_type.size() * req->send_count);
           if (credit_[static_cast<std::size_t>(dst)] < need) return;
           credit_[static_cast<std::size_t>(dst)] -= need;
           break;
@@ -313,7 +323,7 @@ void Engine::start_rendezvous(const Request& req, const ProtoMsg& rts) {
   }
   // Push path (TCP): tell the sender to transmit; route the data back to
   // this request by the sender's request id.
-  if (ep_.bulk_plane(rts.src) != fabric::BulkPlane::kInline) {
+  if (ep_.bulk_plane(rts.src)) {
     // Bulk plane: the payload will bypass the framed control channel, so
     // register the landing buffer with the fabric BEFORE the CTS leaves —
     // the sender writes bulk bytes only after the CTS arrives, so the
@@ -327,7 +337,6 @@ void Engine::start_rendezvous(const Request& req, const ProtoMsg& rts) {
     req->bulk_total = rts.size;
     void* dst = nullptr;
     if (req->recv_type.is_contiguous()) {
-      req->bulk_direct = true;
       dst = req->recv_buf;
     } else {
       req->bulk_staging = pool_.acquire(static_cast<std::size_t>(expect));
@@ -384,7 +393,7 @@ void Engine::handle(ProtoMsg msg) {
       auto it = live_.find(msg.sender_req);
       LCMPI_CHECK(it != live_.end(), "CTS for unknown send");
       const Request req = it->second;
-      if (ep_.bulk_plane(req->dst) != fabric::BulkPlane::kInline) {
+      if (ep_.bulk_plane(req->dst)) {
         // Bulk plane: stream the payload outside the framed control
         // channel. A contiguous user buffer is handed to the fabric
         // as-is — zero pack copy; the MPI standard keeps it valid until
@@ -501,7 +510,7 @@ void Engine::handle(ProtoMsg msg) {
       const std::int64_t total = static_cast<std::int64_t>(req->bulk_total);
       if (total > capacity) req->status.error = Err::kTruncate;
       req->status.count_bytes = std::min(capacity, total);
-      if (!req->bulk_direct) {
+      if (!req->recv_type.is_contiguous()) {  // landed in pooled staging
         req->recv_type.unpack(req->bulk_staging, req->recv_buf, req->recv_count);
         pool_.release(std::move(req->bulk_staging));
       }

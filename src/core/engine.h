@@ -181,7 +181,9 @@ class Engine {
   void enqueue_launch(const Request& req);
   void try_launch(int dst);
   void launch(const Request& req);
-  [[nodiscard]] std::int64_t flow_cost(const RequestState& r) const;
+  /// Credit a send of `nbytes` consumes: its control record, plus the
+  /// payload when it goes eager.
+  [[nodiscard]] std::int64_t flow_cost(std::int64_t nbytes) const;
   void send_msg(int dst, fabric::ProtoMsg msg);
   void complete_send(const Request& req);
 

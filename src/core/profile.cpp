@@ -74,8 +74,6 @@ Table fabric_report(const fabric::SocketFabric::Stats& s) {
   t.add_row({"bulk_rx_bytes", std::to_string(s.bulk_rx_bytes)});
   t.add_row({"memfd_pairs", std::to_string(s.memfd_pairs)});
   t.add_row({"doorbells_tx", std::to_string(s.doorbells_tx)});
-  t.add_row({"zerocopy_sends", std::to_string(s.zerocopy_sends)});
-  t.add_row({"zerocopy_completions", std::to_string(s.zerocopy_completions)});
   return t;
 }
 

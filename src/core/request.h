@@ -42,11 +42,11 @@ struct RequestState {
   Datatype recv_type;
   int src = kAnySource;  // world rank or wildcard
   bool matched = false;
-  // Bulk-plane rendezvous state: total size announced by the RTS, whether
-  // the fabric writes straight into the user buffer (contiguous type) or
-  // into the pooled staging buffer unpacked at kBulkDelivered.
+  // Bulk-plane rendezvous state: total size announced by the RTS, and the
+  // pooled staging buffer a non-contiguous receive type lands in (a
+  // contiguous one lands straight in the user buffer), unpacked at
+  // kBulkDelivered.
   std::uint32_t bulk_total = 0;
-  bool bulk_direct = false;
   Bytes bulk_staging;
 };
 

@@ -21,11 +21,11 @@ void Endpoint::hw_barrier_enter(sim::Actor&) {
 }
 
 void Endpoint::bulk_post(int, std::uint64_t, void*, std::size_t) {
-  throw InternalError("this fabric has no bulk data plane (bulk_plane() is kInline)");
+  throw InternalError("this fabric has no bulk data plane");
 }
 
 void Endpoint::bulk_send(sim::Actor&, int, std::uint64_t, const void*, std::size_t) {
-  throw InternalError("this fabric has no bulk data plane (bulk_plane() is kInline)");
+  throw InternalError("this fabric has no bulk data plane");
 }
 
 void Endpoint::rma_expose(std::uint64_t, void*, std::int64_t, void*) {

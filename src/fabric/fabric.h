@@ -8,7 +8,8 @@
 //       TCP: fixed 25-byte records on the stream, per Table 1);
 //   2. bulk data movement for the rendezvous protocol
 //      (Meiko: receiver-initiated DMA *pull* of staged data — caps().pull_bulk;
-//       TCP: CTS back to the sender, which *pushes* the payload);
+//       TCP: CTS back to the sender, which *pushes* the payload; the real
+//       fabrics push it on their one bulk plane — bulk_plane());
 //   3. optionally, hardware broadcast (Meiko only);
 //   4. a cost/capability profile: what the MPI layer should charge for
 //      matching and copies, the eager/rendezvous threshold, and which
@@ -75,14 +76,12 @@ enum class MsgKind : std::uint8_t {
   kRmaAcc = 15,
 };
 
-/// Which plane carries rendezvous payload bytes to a given peer.
-/// Selected per-pair by the fabric at bootstrap (see each fabric's
-/// negotiation); the engine only branches on kInline vs not.
-enum class BulkPlane : std::uint8_t {
-  kInline = 0,  // payload rides the framed control channel (kRdata)
-  kStream = 1,  // dedicated raw byte stream (second socket per pair)
-  kShared = 2,  // shared memory: copied straight into the posted buffer
-};
+/// Credit and slot returns. They matter only to a peer that will send
+/// again, so a fabric may drop one addressed to a peer that has finished
+/// rather than block on a channel that peer no longer drains.
+[[nodiscard]] constexpr bool is_flow_return(MsgKind k) {
+  return k == MsgKind::kCredit || k == MsgKind::kSlotFree;
+}
 
 /// A parsed protocol message. Fabrics own the wire encoding; the engine
 /// never sees raw bytes except the payload.
@@ -178,11 +177,14 @@ class Endpoint {
   /// included — once all ranks have entered.
   virtual void hw_barrier_enter(sim::Actor& self);
 
-  // --- bulk data plane (per-pair transport selection) ----------------------
+  // --- bulk data plane -----------------------------------------------------
   //
   // Push-mode fabrics with a dedicated bulk plane move rendezvous payloads
   // OUTSIDE the framed control channel, so a 64 MiB transfer cannot
-  // head-of-line-block eager envelopes. Protocol (driven by the engine):
+  // head-of-line-block eager envelopes. The real fabrics each have one:
+  // ShmFabric copies straight into the posted buffer, SocketFabric uses a
+  // memfd ring on AF_UNIX and a second stream socket on AF_INET. The
+  // simulated fabrics keep inline kRdata. Protocol (driven by the engine):
   //
   //   receiver: bulk_post(src, cookie, dst, cap)  -- BEFORE sending CTS
   //   sender:   bulk_send(dst, cookie, data, n)   -- on CTS; async, data
@@ -195,11 +197,13 @@ class Endpoint {
   // because bulk_post happens before the CTS leaves the receiver and the
   // sender writes bulk bytes only after the CTS arrives.
 
-  /// The plane carrying bulk payloads to `peer`. kInline (the default)
-  /// keeps the classic kRdata path; self-sends are always kInline.
-  [[nodiscard]] virtual BulkPlane bulk_plane(int peer) const {
+  /// True if rendezvous payloads to `peer` travel on this fabric's bulk
+  /// plane. Each fabric has at most one plane, fixed per transport; false
+  /// (the default, and always for self-sends) keeps the inline kRdata
+  /// path, which carries the payload inside a control frame.
+  [[nodiscard]] virtual bool bulk_plane(int peer) const {
     (void)peer;
-    return BulkPlane::kInline;
+    return false;
   }
 
   /// Receiver: register the posted buffer for an expected bulk arrival

@@ -42,13 +42,18 @@ class ShmFabric::Ep final : public Endpoint {
 
   void send(sim::Actor&, int dst, ProtoMsg msg) override {
     msg.src = rank_;
-    if (owner_.opt_.mux) {
-      send_mux(dst, std::move(msg));
-    } else {
-      push_blocking(owner_.chan(rank_, dst), std::move(msg));
-    }
+    Ep& to = *owner_.eps_[static_cast<std::size_t>(dst)];
+    // A flow-control return that meets a full ring toward a retired rank
+    // is dropped: that rank never drains its rings again, and never sends
+    // again, so parking on the ring would hang this rank for nothing.
+    const Ep* unless_retired = is_flow_return(msg.kind) ? &to : nullptr;
+    const bool pushed =
+        owner_.opt_.mux
+            ? send_mux(dst, std::move(msg), unless_retired)
+            : push_blocking(owner_.chan(rank_, dst), std::move(msg), unless_retired);
+    if (!pushed) return;
     messages_.fetch_add(1, std::memory_order_relaxed);
-    owner_.eps_[static_cast<std::size_t>(dst)]->notify_arrival();
+    to.notify_arrival();
   }
 
   std::optional<ProtoMsg> poll(sim::Actor&) override {
@@ -108,10 +113,7 @@ class ShmFabric::Ep final : public Endpoint {
   // One memcpy total for contiguous types — the payload never stages
   // through ring slots at all.
 
-  [[nodiscard]] BulkPlane bulk_plane(int peer) const override {
-    return owner_.opt_.bulk_direct && peer != rank_ ? BulkPlane::kShared
-                                                    : BulkPlane::kInline;
-  }
+  [[nodiscard]] bool bulk_plane(int peer) const override { return peer != rank_; }
 
   void bulk_post(int src, std::uint64_t cookie, void* dst,
                  std::size_t capacity) override {
@@ -186,18 +188,22 @@ class ShmFabric::Ep final : public Endpoint {
   /// unless someone consumes — and the engine only polls between fabric
   /// calls, not during them. Drained envelopes go to a staging queue that
   /// poll() serves first, preserving per-source FIFO. Short park slices
-  /// bound retry latency when inbound is dry.
+  /// bound retry latency when inbound is dry. Returns false, having
+  /// pushed nothing, once `unless_retired` (if given) has retired.
   template <typename Ch>
-  void push_blocking(Ch& ch, ProtoMsg msg) {
-    if (ch.try_push(std::move(msg))) return;
+  bool push_blocking(Ch& ch, ProtoMsg msg, const Ep* unless_retired = nullptr) {
+    if (ch.try_push(std::move(msg))) return true;
     full_parks_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
       const bool drained = drain_inbound();
-      if (ch.try_push(std::move(msg))) break;
+      if (ch.try_push(std::move(msg))) return true;
+      if (unless_retired != nullptr &&
+          unless_retired->retired_.load(std::memory_order_acquire))
+        return false;
       if (!drained &&
           ch.push_until(msg, std::chrono::steady_clock::now() +
                                  std::chrono::milliseconds(1)))
-        break;
+        return true;
     }
   }
 
@@ -207,14 +213,13 @@ class ShmFabric::Ep final : public Endpoint {
   /// dedicated ring is published first (release), then the marker goes
   /// into the mux ring as this sender's LAST mux message — the receiver
   /// orders the two streams by refusing to read the dedicated ring until
-  /// the marker arrives, which keeps per-(src,dst) FIFO intact.
-  void send_mux(int dst, ProtoMsg msg) {
-    if (Channel* sp = owner_.promoted(rank_, dst).load(std::memory_order_acquire)) {
-      push_blocking(*sp, std::move(msg));
-      return;
-    }
+  /// the marker arrives, which keeps per-(src,dst) FIFO intact. Returns
+  /// false if push_blocking dropped `msg`.
+  bool send_mux(int dst, ProtoMsg msg, const Ep* unless_retired) {
+    if (Channel* sp = owner_.promoted(rank_, dst).load(std::memory_order_acquire))
+      return push_blocking(*sp, std::move(msg), unless_retired);
     MuxChannel& mux = *owner_.mux_[static_cast<std::size_t>(dst)];
-    push_blocking(mux, std::move(msg));
+    if (!push_blocking(mux, std::move(msg), unless_retired)) return false;
     mux_msgs_.fetch_add(1, std::memory_order_relaxed);
     const auto sent =
         sent_count_[static_cast<std::size_t>(dst)].fetch_add(
@@ -226,8 +231,9 @@ class ShmFabric::Ep final : public Endpoint {
       ProtoMsg marker;
       marker.kind = kPromoteMarker;
       marker.src = rank_;
-      push_blocking(mux, std::move(marker));
+      (void)push_blocking(mux, std::move(marker), unless_retired);
     }
+    return true;
   }
 
   /// Pops the next available inbound envelope from the transport rings
@@ -277,6 +283,7 @@ class ShmFabric::Ep final : public Endpoint {
 
   friend class ShmFabric;
   ShmFabric& owner_;
+  std::atomic<bool> retired_{false};  // see ShmFabric::retire
   int cursor_ = 0;  // round-robin fairness over inbound rings
   std::deque<ProtoMsg> staged_;  // inbound drained during blocked sends
   util::ParkingLot pad_;  // shared consumer pad of every inbound ring
@@ -347,6 +354,10 @@ ShmFabric::~ShmFabric() {
 
 Endpoint& ShmFabric::endpoint(int rank) {
   return *eps_.at(static_cast<std::size_t>(rank));
+}
+
+void ShmFabric::retire(int rank) {
+  eps_.at(static_cast<std::size_t>(rank))->retired_.store(true, std::memory_order_release);
 }
 
 TimePoint ShmFabric::wall_now() const {

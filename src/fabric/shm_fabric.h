@@ -2,20 +2,20 @@
 //
 // Every other fabric in the tree is simulated: one kernel thread, virtual
 // time, modelled costs. This one is real: each MPI rank runs on its own OS
-// thread (runtime::ThreadsWorld), and ProtoMsg envelopes *and* rendezvous
-// payloads move through bounded lock-free SPSC rings
-// (src/util/spsc_ring.h) — one ring per directed rank pair, so per-(src,
-// dst) FIFO order (the MPI non-overtaking substrate every engine assumes)
-// is a structural property, not a locking discipline.
+// thread (runtime::ThreadsWorld), and ProtoMsg envelopes move through
+// bounded lock-free SPSC rings (src/util/spsc_ring.h) — one ring per
+// directed rank pair, so per-(src, dst) FIFO order (the MPI non-overtaking
+// substrate every engine assumes) is a structural property, not a locking
+// discipline.
 //
 // Protocol shape, mirroring the paper's ATM/TCP port rather than the
 // Meiko one: push-mode rendezvous (RTS → CTS through the rings; nothing
 // is staged in sender memory for a remote pull, which would need
 // cross-thread synchronization the rings already provide) and per-sender
-// credit flow control at the MPI layer. Rendezvous PAYLOADS default to
-// the shared-memory bulk plane (BulkPlane::kShared): the sender thread
-// copies once, straight into the buffer the receiver registered with
-// bulk_post — ring slots carry only envelopes and completion notes. Backpressure is two-layered:
+// credit flow control at the MPI layer. Rendezvous PAYLOADS always take
+// the shared-memory bulk plane: the sender thread copies once, straight
+// into the buffer the receiver registered with bulk_post — ring slots
+// carry only envelopes and completion notes. Backpressure is two-layered:
 // credits bound the *bytes* a sender may have parked at a receiver, and
 // ring occupancy bounds the *messages* in flight — a producer hitting a
 // full ring parks on the ring's mutex/condvar pad until the consumer
@@ -52,12 +52,6 @@ class ShmFabric final : public Fabric {
     /// Small enough that an unresponsive receiver exerts backpressure,
     /// large enough that a credit window of eager messages fits.
     std::size_t ring_slots = 1024;
-    /// Bulk plane (BulkPlane::kShared): rendezvous payloads are copied by
-    /// the sender thread straight into the buffer the receiver registered
-    /// with bulk_post — ONE copy for contiguous types, instead of staging
-    /// through ring slots. false reverts to the inline kRdata path (the
-    /// pre-bulk-plane baseline, kept for ablation).
-    bool bulk_direct = true;
     /// Multiplexed mode for large N. Default (false): one SPSC ring per
     /// directed pair — O(N²) rings, the latency fast path. true: each
     /// receiver owns ONE shared MPMC ring that every sender produces
@@ -86,6 +80,13 @@ class ShmFabric final : public Fabric {
 
   [[nodiscard]] int nranks() const override { return static_cast<int>(eps_.size()); }
   [[nodiscard]] Endpoint& endpoint(int rank) override;
+
+  /// Marks `rank` finished: its thread never drains its inbound rings
+  /// again. From then on a credit or slot return that finds its ring
+  /// toward `rank` full is dropped instead of parking forever; a finished
+  /// rank sends nothing more, so it needs no flow control. ThreadsWorld
+  /// calls this as each rank's function ends.
+  void retire(int rank);
 
   /// Wall-clock nanoseconds since fabric construction (= endpoint now()).
   [[nodiscard]] TimePoint wall_now() const;

@@ -9,6 +9,7 @@
 #include <sys/epoll.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -25,17 +26,23 @@
 
 #include "src/util/env.h"
 
-#if defined(__linux__) && defined(SO_ZEROCOPY) && defined(MSG_ZEROCOPY)
-#include <linux/errqueue.h>
-#define LCMPI_HAVE_ZEROCOPY 1
-#else
-#define LCMPI_HAVE_ZEROCOPY 0
-#endif
-
 namespace lcmpi::fabric {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Dial patience: per-attempt backoff doubles from the floor to the cap
+// until Options::dial_deadline runs out.
+constexpr std::chrono::milliseconds kBackoffFloor{1};
+constexpr std::chrono::milliseconds kBackoffCap{100};
+
+// wait_activity's epoll_wait slice. It bounds wakeup staleness only;
+// arrivals interrupt it immediately.
+constexpr int kPollSliceMs = 100;
+
+// Max bulk payload bytes moved per pump, each way: bounds how long a huge
+// transfer can hold the progress loop between control-plane polls.
+constexpr std::uint64_t kBulkChunkBytes = 256 << 10;
 
 // Frame header behind the u32 length prefix. Full-width fields: this wire
 // is private to the fabric, so nothing is squeezed into Table-1 widths.
@@ -307,21 +314,6 @@ struct Hello {
 constexpr std::uint8_t kIntentBoot = 0;
 constexpr std::uint8_t kIntentData = 1;
 
-// Per-pair bulk negotiation, exchanged on the bulk socket right after the
-// Hello. Both sides willing (kMemfd + AF_UNIX) => the dialer creates a
-// memfd and passes it via SCM_RIGHTS; any mismatch degrades the pair to
-// plain stream mode — worlds may mix kMemfd and kStream ranks freely.
-// The dialer does not wait for the acceptor's reply: it writes its half
-// (BulkHello, plus the fd if it wants a ring), marks the channel
-// `negotiating`, and queues transfers until the reply arrives through
-// the normal nonblocking pump.
-struct BulkHello {
-  std::uint32_t magic = 0x4c42'4c4b;  // "LBLK"
-  std::uint8_t wants_memfd = 0;
-  std::uint8_t pad[3] = {};
-  std::uint64_t ring_bytes = 0;  // dialer's value sizes the rings
-};
-
 // Each bulk transfer is one 16-byte header then `size` raw payload bytes
 // — no per-chunk framing on the entire data plane.
 constexpr std::size_t kBulkHdrBytes = 16;
@@ -333,11 +325,6 @@ void get_bulk_hdr(const unsigned char* p, std::uint64_t* cookie, std::uint64_t* 
   std::memcpy(cookie, p, sizeof *cookie);
   std::memcpy(size, p + sizeof *cookie, sizeof *size);
 }
-
-// MSG_ZEROCOPY pins pages and reaps completions through the error queue;
-// below this chunk size the bookkeeping costs more than the copy saves
-// (the kernel's own documented guidance is ~10 KB; we are conservative).
-constexpr std::size_t kZcMinChunk = 64 * 1024;
 
 // Shared-ring control block: one producer counter and one consumer
 // counter per direction, each on its own cache line, both monotonic (the
@@ -457,15 +444,30 @@ struct SocketFabric::BulkChan {
   bool out_armed = false;   // EPOLLOUT armed (stream tx blocked)
   bool tx_listed = false;   // peer is in bulk_tx_pending_
   bool rx_listed = false;   // ring data left unconsumed by a budget cap
-  // Dialer side: the acceptor's BulkHello reply has not arrived yet.
-  // Transfers queue; nothing is transmitted until the reply lands.
-  bool negotiating = false;
-  unsigned char neg[sizeof(BulkHello)];
-  std::size_t neg_got = 0;
-  void* map_base = nullptr;  // non-null: memfd rings negotiated
+  void* map_base = nullptr;  // non-null: memfd rings (AF_UNIX)
   std::size_t map_len = 0;
   RingView tx_ring, rx_ring;
   [[nodiscard]] bool use_ring() const { return map_base != nullptr; }
+
+  /// The memfd holds one {RingCtl, `ring` data bytes} half per direction.
+  static std::size_t map_bytes(std::size_t ring) {
+    return 2 * (sizeof(RingCtl) + ring);
+  }
+  /// Maps both rings. Ring A carries dialer->acceptor traffic, ring B the
+  /// reverse.
+  void map_rings(int mfd, std::size_t ring, const std::string& who) {
+    const std::size_t len = map_bytes(ring);
+    void* base = ::mmap(nullptr, len, PROT_READ | PROT_WRITE, MAP_SHARED, mfd, 0);
+    if (base == MAP_FAILED) die(who + ": mmap(memfd) failed: " + errno_str());
+    map_base = base;
+    map_len = len;
+    auto* raw = static_cast<std::byte*>(base);
+    const RingView a{reinterpret_cast<RingCtl*>(raw), raw + sizeof(RingCtl), ring};
+    const RingView b{reinterpret_cast<RingCtl*>(raw + sizeof(RingCtl) + ring),
+                     raw + 2 * sizeof(RingCtl) + ring, ring};
+    tx_ring = dialer ? a : b;
+    rx_ring = dialer ? b : a;
+  }
 
   // Transmit side: FIFO of transfers; head-of-queue progresses in
   // bounded chunks. `data` points into the engine's send buffer, valid
@@ -477,17 +479,8 @@ struct SocketFabric::BulkChan {
     std::uint64_t off = 0;  // payload bytes handed to ring/kernel
     unsigned char hdr[kBulkHdrBytes];
     std::uint64_t hdr_off = 0;
-    bool zc_used = false;
-    std::uint32_t zc_last = 0;  // highest zerocopy seq this transfer used
   };
   std::deque<Tx> txq;
-  // Fully-written transfers whose pages the kernel still references
-  // (MSG_ZEROCOPY); kBulkSent is withheld until the errqueue confirms.
-  struct ZcWait {
-    std::uint64_t cookie = 0;
-    std::uint32_t zc_last = 0;
-  };
-  std::deque<ZcWait> zc_wait;
 
   // Receive side: one transfer at a time (the plane is a FIFO stream).
   unsigned char rhdr[kBulkHdrBytes];
@@ -498,10 +491,6 @@ struct SocketFabric::BulkChan {
   std::uint64_t rx_got = 0;
   std::byte* rx_dst = nullptr;  // registered landing buffer
   std::uint64_t rx_cap = 0;     // bytes past this are consumed and dropped
-
-  bool zc_enabled = false;
-  std::uint32_t zc_seq = 0;   // seq the next MSG_ZEROCOPY send will get
-  std::uint32_t zc_done = 0;  // all seqs below this are reaped
 
   ~BulkChan() {
     if (map_base != nullptr) ::munmap(map_base, map_len);
@@ -541,25 +530,12 @@ class SocketFabric::Ep final : public Endpoint {
     if (owner_.pump_bulk_tx_pending()) return;
     if (owner_.pump_bulk_rx_pending()) return;
     owner_.stats_.idle_polls++;
-    (void)owner_.progress(static_cast<int>(owner_.opt_.poll_slice.count()));
+    (void)owner_.progress(kPollSliceMs);
   }
 
   // --- bulk plane ---------------------------------------------------------
 
-  [[nodiscard]] BulkPlane bulk_plane(int peer) const override {
-    if (peer == rank_ || owner_.opt_.bulk == Bulk::kInline)
-      return BulkPlane::kInline;
-    // Before the lazy dial completes the answer is provisional (kStream);
-    // the engine only branches on kInline vs not, so pre-negotiation
-    // conservatism is safe. Both sides agree on that split because
-    // Options::bulk's kInline/non-kInline choice is world-uniform.
-    const BulkPair& bp = owner_.bulk_[static_cast<std::size_t>(peer)];
-    const BulkChan* c = bp.tx != nullptr ? bp.tx
-                        : bp.b != nullptr ? bp.b.get()
-                                          : bp.a.get();
-    if (c == nullptr || c->negotiating) return BulkPlane::kStream;
-    return c->use_ring() ? BulkPlane::kShared : BulkPlane::kStream;
-  }
+  [[nodiscard]] bool bulk_plane(int peer) const override { return peer != rank_; }
 
   void bulk_post(int src, std::uint64_t cookie, void* dst,
                  std::size_t capacity) override {
@@ -835,13 +811,13 @@ void SocketFabric::bootstrap(const Rendezvous& rdv) {
     r0.unix_path = r0_path;
     if (!unix_domain) {
       if (!rdv.rendezvous_file.empty()) {
-        auto backoff = opt_.backoff_floor;
+        auto backoff = kBackoffFloor;
         while (!try_read_rendezvous_file(rdv.rendezvous_file, &r0.addr, &r0.port)) {
           if (Clock::now() >= deadline)
             die(who() + ": rendezvous file " + rdv.rendezvous_file +
                 " never appeared — rank 0 never came up");
           std::this_thread::sleep_for(backoff);
-          backoff = std::min(backoff * 2, opt_.backoff_cap);
+          backoff = std::min(backoff * 2, kBackoffCap);
           stats_.dial_retries++;
         }
       } else {
@@ -893,7 +869,7 @@ int SocketFabric::dial(const PeerAddr& to, const std::string& label,
                   : inet_addr_port(
                         to.addr != 0 ? to.addr : htonl(INADDR_LOOPBACK),
                         to.port);
-  auto backoff = opt_.backoff_floor;
+  auto backoff = kBackoffFloor;
   bool first = true;
   for (;;) {
     const int fd = make_socket(addr.family());
@@ -911,7 +887,7 @@ int SocketFabric::dial(const PeerAddr& to, const std::string& label,
     if (!first) stats_.dial_retries++;
     first = false;
     std::this_thread::sleep_for(backoff);
-    backoff = std::min(backoff * 2, opt_.backoff_cap);
+    backoff = std::min(backoff * 2, kBackoffCap);
   }
 }
 
@@ -1054,7 +1030,14 @@ bool SocketFabric::progress(int timeout_ms) {
 
 void SocketFabric::send_frame(int peer, const ProtoMsg& msg) {
   LCMPI_CHECK(peer >= 0 && peer < nranks_ && peer != rank_, "bad destination");
+  // Eager sends complete locally, so a peer may finish, say goodbye and
+  // close while we still owe it credit for messages we have yet to
+  // consume. Such a flow-control return is dropped, whether the goodbye
+  // is already parsed or the write fails on the closed socket; the
+  // receive side judges a real death (EOF without a goodbye).
+  const bool flow_return = is_flow_return(msg.kind);
   Conn& c = ensure_conn(peer);
+  if (flow_return && (c.dead || c.bye_seen || c.a.fd < 0)) return;
   if (c.dead || c.bye_seen || c.a.fd < 0)
     die(who() + ": send to rank " + std::to_string(peer) + " after it " +
         (c.bye_seen ? "finished" : "died"));
@@ -1079,8 +1062,10 @@ void SocketFabric::send_frame(int peer, const ProtoMsg& msg) {
   const auto* p = reinterpret_cast<const unsigned char*>(frame.data());
   std::size_t off = 0;
   while (off < frame.size()) {
-    if (c.a.fd < 0)
+    if (c.a.fd < 0) {
+      if (flow_return) return;
       die(who() + ": rank " + std::to_string(peer) + " died mid-send");
+    }
     const ssize_t n = ::send(c.a.fd, p + off, frame.size() - off, MSG_NOSIGNAL);
     if (n > 0) {
       off += static_cast<std::size_t>(n);
@@ -1099,9 +1084,10 @@ void SocketFabric::send_frame(int peer, const ProtoMsg& msg) {
         epoll_arm_out(c.a.fd, FdKind::kCtlA, peer, true);
         c.a.out_armed = true;
       }
-      (void)progress(static_cast<int>(opt_.poll_slice.count()));
+      (void)progress(kPollSliceMs);
       continue;
     }
+    if (flow_return) return;
     die(who() + ": rank " + std::to_string(peer) + " died mid-send (" +
         (n < 0 ? errno_str() : "connection closed") + ")");
   }
@@ -1225,61 +1211,24 @@ SocketFabric::BulkChan& SocketFabric::ensure_bulk(int peer) {
   auto b = std::make_unique<BulkChan>();
   b->fd = fd;
   b->dialer = true;
-
-  BulkHello mine;
-  mine.wants_memfd =
-      (opt_.bulk == Bulk::kMemfd && opt_.domain == Domain::kUnix) ? 1 : 0;
-  mine.ring_bytes = opt_.bulk_ring_bytes;
-  write_all(fd, &mine, sizeof mine, who().c_str());
-  if (mine.wants_memfd != 0) {
-    // Optimistically build the ring and pass the fd now; if the acceptor
-    // declines in its reply we unmap and fall back to stream mode. The
-    // dialer's ring size governs (it creates the region); one byte ring
-    // per direction, each fronted by its cache-padded control block.
-    const auto ring = static_cast<std::size_t>(mine.ring_bytes);
+  if (opt_.domain == Domain::kUnix) {
+    // The dialer's ring size governs: it creates the region, initializes
+    // both control blocks, and passes the memfd right behind its Hello.
+    // The SCM_RIGHTS pass is the synchronization point, so transfers may
+    // start at once.
+    const std::size_t ring = opt_.bulk_ring_bytes;
     LCMPI_CHECK(ring > 0, "bulk ring size must be positive");
-    const std::size_t map_len = 2 * (sizeof(RingCtl) + ring);
     const int mfd = ::memfd_create("lcmpi-bulk", MFD_CLOEXEC);
     if (mfd < 0) die(who() + ": memfd_create failed: " + errno_str());
-    if (::ftruncate(mfd, static_cast<off_t>(map_len)) != 0)
+    if (::ftruncate(mfd, static_cast<off_t>(BulkChan::map_bytes(ring))) != 0)
       die(who() + ": ftruncate(memfd) failed: " + errno_str());
-    void* base =
-        ::mmap(nullptr, map_len, PROT_READ | PROT_WRITE, MAP_SHARED, mfd, 0);
-    if (base == MAP_FAILED) die(who() + ": mmap(memfd) failed: " + errno_str());
-    b->map_base = base;
-    b->map_len = map_len;
-    auto* raw = static_cast<std::byte*>(base);
-    auto* ctl_a = reinterpret_cast<RingCtl*>(raw);
-    std::byte* data_a = raw + sizeof(RingCtl);
-    auto* ctl_b = reinterpret_cast<RingCtl*>(raw + sizeof(RingCtl) + ring);
-    std::byte* data_b = raw + 2 * sizeof(RingCtl) + ring;
-    // Initialize both control blocks BEFORE the fd crosses — the
-    // SCM_RIGHTS pass is the synchronization point.
-    new (ctl_a) RingCtl;
-    new (ctl_b) RingCtl;
-    ctl_a->head.store(0, std::memory_order_relaxed);
-    ctl_a->tail.store(0, std::memory_order_relaxed);
-    ctl_b->head.store(0, std::memory_order_relaxed);
-    ctl_b->tail.store(0, std::memory_order_relaxed);
+    b->map_rings(mfd, ring, who());
+    new (b->tx_ring.ctl) RingCtl{};
+    new (b->rx_ring.ctl) RingCtl{};
     send_fd(fd, mfd, who().c_str());
     ::close(mfd);  // the mapping keeps the memory alive
-    // Ring A carries dialer->acceptor traffic, ring B the reverse.
-    b->tx_ring = RingView{ctl_a, data_a, ring};
-    b->rx_ring = RingView{ctl_b, data_b, ring};
-  } else {
-#if LCMPI_HAVE_ZEROCOPY
-    // memfd never applies on AF_INET, so the stream decision is final
-    // already — no need to wait for the reply.
-    if (opt_.bulk_zerocopy && opt_.domain == Domain::kInet) {
-      const int one = 1;
-      b->zc_enabled =
-          ::setsockopt(fd, SOL_SOCKET, SO_ZEROCOPY, &one, sizeof one) == 0;
-    }
-#endif
+    stats_.memfd_pairs++;
   }
-  // Nothing more is written until the acceptor's 16-byte reply arrives
-  // (read nonblockingly by try_finish_bulk_negotiation); transfers queue.
-  b->negotiating = true;
   set_nonblocking(fd, true);
   epoll_add(fd, FdKind::kBulkA, peer);
   stats_.lazy_dials++;
@@ -1295,88 +1244,20 @@ void SocketFabric::file_bulk_accept(int peer, int fd) {
   auto b = std::make_unique<BulkChan>();
   b->fd = fd;
   b->dialer = false;
-
-  const auto deadline = Clock::now() + opt_.dial_deadline;
-  BulkHello theirs;
-  read_all_within(fd, &theirs, sizeof theirs, deadline, who().c_str());
-  LCMPI_CHECK(theirs.magic == BulkHello{}.magic, "bad bulk hello");
-
-  BulkHello mine;
-  mine.wants_memfd =
-      (opt_.bulk == Bulk::kMemfd && opt_.domain == Domain::kUnix) ? 1 : 0;
-  mine.ring_bytes = opt_.bulk_ring_bytes;
-
-  if (theirs.wants_memfd != 0) {
-    // The dialer already passed its memfd; take delivery regardless and
-    // drop it if we are not participating (mixed-mode worlds).
+  if (opt_.domain == Domain::kUnix) {
+    // The dialer's memfd follows its Hello; its size gives the geometry.
     const int mfd = recv_fd(fd, who().c_str());
-    if (mine.wants_memfd != 0) {
-      const auto ring = static_cast<std::size_t>(theirs.ring_bytes);
-      LCMPI_CHECK(ring > 0, "bulk ring size must be positive");
-      const std::size_t map_len = 2 * (sizeof(RingCtl) + ring);
-      void* base =
-          ::mmap(nullptr, map_len, PROT_READ | PROT_WRITE, MAP_SHARED, mfd, 0);
-      if (base == MAP_FAILED)
-        die(who() + ": mmap(memfd) failed: " + errno_str());
-      b->map_base = base;
-      b->map_len = map_len;
-      auto* raw = static_cast<std::byte*>(base);
-      auto* ctl_a = reinterpret_cast<RingCtl*>(raw);
-      std::byte* data_a = raw + sizeof(RingCtl);
-      auto* ctl_b = reinterpret_cast<RingCtl*>(raw + sizeof(RingCtl) + ring);
-      std::byte* data_b = raw + 2 * sizeof(RingCtl) + ring;
-      b->tx_ring = RingView{ctl_b, data_b, ring};
-      b->rx_ring = RingView{ctl_a, data_a, ring};
-      stats_.memfd_pairs++;
-    }
+    struct stat st {};
+    if (::fstat(mfd, &st) != 0) die(who() + ": fstat(memfd) failed: " + errno_str());
+    const auto map_len = static_cast<std::size_t>(st.st_size);
+    LCMPI_CHECK(map_len > BulkChan::map_bytes(0), "bulk ring memfd too small");
+    b->map_rings(mfd, map_len / 2 - sizeof(RingCtl), who());
     ::close(mfd);
-  }
-  write_all(fd, &mine, sizeof mine, who().c_str());
-  if (!b->use_ring()) {
-#if LCMPI_HAVE_ZEROCOPY
-    if (opt_.bulk_zerocopy && opt_.domain == Domain::kInet) {
-      const int one = 1;
-      b->zc_enabled =
-          ::setsockopt(fd, SOL_SOCKET, SO_ZEROCOPY, &one, sizeof one) == 0;
-    }
-#endif
+    stats_.memfd_pairs++;
   }
   set_nonblocking(fd, true);
   epoll_add(fd, FdKind::kBulkB, peer);
   bp.b = std::move(b);
-}
-
-bool SocketFabric::try_finish_bulk_negotiation(int peer, BulkChan* b) {
-  if (!b->negotiating) return true;
-  // Read EXACTLY the 16-byte reply — anything after it is transfer data
-  // (doorbells or a header) and belongs to the normal rx pump.
-  while (b->neg_got < sizeof(BulkHello)) {
-    const ssize_t n =
-        ::recv(b->fd, b->neg + b->neg_got, sizeof(BulkHello) - b->neg_got, 0);
-    if (n > 0) {
-      b->neg_got += static_cast<std::size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return false;
-    bulk_eof(peer, b, n < 0 ? errno_str().c_str() : "EOF during bulk handshake");
-    return false;
-  }
-  BulkHello theirs;
-  std::memcpy(&theirs, b->neg, sizeof theirs);
-  LCMPI_CHECK(theirs.magic == BulkHello{}.magic, "bad bulk hello reply");
-  if (b->map_base != nullptr) {
-    if (theirs.wants_memfd != 0) {
-      stats_.memfd_pairs++;
-    } else {
-      // Acceptor declined (kStream rank in a mixed world): stream mode.
-      ::munmap(b->map_base, b->map_len);
-      b->map_base = nullptr;
-      b->map_len = 0;
-    }
-  }
-  b->negotiating = false;
-  return true;
 }
 
 void SocketFabric::bulk_queue(int peer, std::uint64_t cookie, const void* data,
@@ -1393,7 +1274,7 @@ void SocketFabric::bulk_queue(int peer, std::uint64_t cookie, const void* data,
   note_bulk_tx_pending(peer);
   // Start moving bytes immediately — the common case (ring space or an
   // empty socket buffer) completes small transfers in this one call.
-  if (try_finish_bulk_negotiation(peer, &b)) (void)pump_bulk_tx(peer, &b);
+  (void)pump_bulk_tx(peer, &b);
 }
 
 void SocketFabric::note_bulk_tx_pending(int peer) {
@@ -1405,7 +1286,6 @@ void SocketFabric::note_bulk_tx_pending(int peer) {
 
 bool SocketFabric::pump_bulk(int peer, BulkChan* b) {
   if (b == nullptr || b->closed) return false;
-  if (!try_finish_bulk_negotiation(peer, b)) return false;
   bool any = pump_bulk_rx(peer, b);
   if (b->closed) return any;
   any = pump_bulk_tx(peer, b) || any;
@@ -1419,9 +1299,8 @@ bool SocketFabric::pump_bulk_tx_pending() {
     BulkChan* b = bulk_[static_cast<std::size_t>(peer)].tx;
     bool done = b == nullptr || b->closed;
     if (!done) {
-      if (try_finish_bulk_negotiation(peer, b))
-        any = pump_bulk_tx(peer, b) || any;
-      done = b->closed || (b->txq.empty() && b->zc_wait.empty());
+      any = pump_bulk_tx(peer, b) || any;
+      done = b->closed || b->txq.empty();
     }
     if (done) {
       if (b != nullptr) b->tx_listed = false;
@@ -1464,32 +1343,15 @@ bool SocketFabric::pump_bulk_rx_pending() {
 
 /// EOF/reset on the bulk socket. Mid-transfer (either direction) this is
 /// a death; otherwise stay quiet — the control socket's BYE-or-EOF
-/// classification owns the verdict for idle peers. Transfers waiting only
-/// on zerocopy reaping are NOT mid-transfer: their bytes are fully with
-/// the kernel, and a closed connection (ACKed or reset) releases the
-/// pinned pages either way, so the send buffer is reusable — complete
-/// them rather than racing the errqueue against the peer's clean BYE.
+/// classification owns the verdict for idle peers.
 void SocketFabric::bulk_eof(int peer, BulkChan* b, const char* detail) {
-  if (!b->zc_wait.empty()) {
-    (void)reap_zerocopy(b);  // harvest anything already confirmed
-    while (!b->zc_wait.empty()) {
-      ProtoMsg m;
-      m.kind = MsgKind::kBulkSent;
-      m.src = rank_;
-      m.sender_req = b->zc_wait.front().cookie;
-      arrivals_.push_back(std::move(m));
-      b->zc_wait.pop_front();
-    }
-  }
   // Actually close: a lingering half-dead fd in the epoll set would spin
   // the progress loop on EPOLLHUP forever.
   b->closed = true;
   track_close(b->fd);
   b->fd = -1;
   b->out_armed = false;
-  const bool mid = b->in_transfer || !b->txq.empty() || b->negotiating;
-  b->negotiating = false;
-  if (mid)
+  if (b->in_transfer || !b->txq.empty())
     die(who() + ": rank " + std::to_string(peer) + " died mid-bulk-transfer (" +
         detail + ")");
 }
@@ -1538,16 +1400,20 @@ void SocketFabric::ring_doorbell(BulkChan* b) {
 }
 
 bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
-  if (b == nullptr || b->closed || b->negotiating) return false;
+  if (b == nullptr || b->closed) return false;
   bool any = false;
   // Fairness budget: cap the bytes one pump copies so a multi-MiB drain
   // (the ring holds up to bulk_ring_bytes) cannot hold the progress loop —
   // and any control frame behind it — for hundreds of microseconds. The
   // remainder is picked up by the level-triggered epoll (stream) or the
   // rx-pending list (ring).
-  const std::uint64_t budget = opt_.bulk_chunk_bytes;
+  const std::uint64_t budget = kBulkChunkBytes;
   if (b->use_ring()) {
-    // Drain doorbell bytes (their only content is "look at the ring").
+    // Drain doorbell bytes (their only content is "look at the ring"). A
+    // closed socket does not void the ring: a peer may finish and exit
+    // with its last transfer still in the ring, so EOF counts only once
+    // the ring is empty.
+    std::string closed;
     char bells[256];
     for (;;) {
       const ssize_t n = ::recv(b->fd, bells, sizeof bells, 0);
@@ -1557,8 +1423,8 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
       }
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      bulk_eof(peer, b, n < 0 ? errno_str().c_str() : "EOF on bulk socket");
-      return any;
+      closed = n < 0 ? errno_str() : "EOF on bulk socket";
+      break;
     }
     // Consume what the ring holds, up to the budget.
     std::uint64_t consumed = 0;
@@ -1597,7 +1463,11 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
     if (consumed > 0) ring_doorbell(b);  // freed ring space: credit
     // Budget hit with data still in the ring: the sender may never ring
     // another doorbell (it could be done writing), so self-schedule.
-    if (b->rx_ring.readable() > 0) note_bulk_rx_pending(peer, b);
+    if (b->rx_ring.readable() > 0) {
+      note_bulk_rx_pending(peer, b);
+    } else if (!closed.empty()) {
+      bulk_eof(peer, b, closed.c_str());
+    }
   } else {
     static thread_local std::vector<unsigned char> overflow(64 * 1024);
     std::uint64_t got = 0;
@@ -1642,10 +1512,12 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
     }
 #if defined(TCP_QUICKACK)
     if (any && opt_.domain == Domain::kInet) {
-      // MSG_ZEROCOPY completions on TCP arrive only once the data is
-      // ACKed; on an otherwise-quiet connection the delayed-ACK timer
-      // (~40 ms) would stall the sender's withheld kBulkSent. Re-arm
-      // quickack after every drain so the sender's pages free promptly.
+      // Re-arm quickack after every drain, so the sender never waits out
+      // the delayed-ACK timer (~40 ms). Removing it raised the tail a
+      // little: in 10 x 20 fresh 2-rank worlds x 200 rendezvous round trips
+      // on loopback (4-vCPU Xeon VM), trips over 10 ms numbered 34 with
+      // it and 44 without at 64 KiB, 287 and 298 at 1 MiB. None reached
+      // the ~44 ms delayed-ACK stall (worst 39 ms).
       int one = 1;
       (void)::setsockopt(b->fd, IPPROTO_TCP, TCP_QUICKACK, &one, sizeof one);
     }
@@ -1655,12 +1527,11 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
 }
 
 bool SocketFabric::pump_bulk_tx(int peer, BulkChan* b) {
-  if (b == nullptr || b->closed || b->negotiating) return false;
+  if (b == nullptr || b->closed) return false;
   bool any = false;
-  if (!b->zc_wait.empty()) any = reap_zerocopy(b) || any;
   // The chunk budget bounds how much payload one pump moves, so control
   // frames interleave with a long transfer at chunk granularity.
-  std::uint64_t budget = opt_.bulk_chunk_bytes;
+  std::uint64_t budget = kBulkChunkBytes;
   bool rang = false;
   bool blocked = false;  // stream socket hit EAGAIN (arm EPOLLOUT)
   while (!b->txq.empty() && budget > 0) {
@@ -1709,23 +1580,7 @@ bool SocketFabric::pump_bulk_tx(int peer, BulkChan* b) {
       while (t.off < t.size && budget > 0) {
         const std::size_t chunk = static_cast<std::size_t>(
             std::min<std::uint64_t>(t.size - t.off, budget));
-        int flags = MSG_NOSIGNAL;
-        bool zc = false;
-#if LCMPI_HAVE_ZEROCOPY
-        if (b->zc_enabled && chunk >= kZcMinChunk) {
-          flags |= MSG_ZEROCOPY;
-          zc = true;
-        }
-#endif
-        ssize_t n = ::send(b->fd, t.data + t.off, chunk, flags);
-#if LCMPI_HAVE_ZEROCOPY
-        if (n < 0 && zc && errno == ENOBUFS) {
-          // Optmem exhausted: fall back to plain copies for good.
-          b->zc_enabled = false;
-          zc = false;
-          n = ::send(b->fd, t.data + t.off, chunk, MSG_NOSIGNAL);
-        }
-#endif
+        const ssize_t n = ::send(b->fd, t.data + t.off, chunk, MSG_NOSIGNAL);
         if (n < 0 && errno == EINTR) continue;
         if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
           blocked = true;
@@ -1734,12 +1589,6 @@ bool SocketFabric::pump_bulk_tx(int peer, BulkChan* b) {
         if (n <= 0) {
           bulk_eof(peer, b, n < 0 ? errno_str().c_str() : "peer closed");
           return any;
-        }
-        if (zc) {
-          stats_.zerocopy_sends++;
-          t.zc_used = true;
-          t.zc_last = b->zc_seq;
-          b->zc_seq++;
         }
         t.off += static_cast<std::uint64_t>(n);
         budget -= static_cast<std::uint64_t>(n);
@@ -1750,17 +1599,11 @@ bool SocketFabric::pump_bulk_tx(int peer, BulkChan* b) {
     if (t.hdr_off == kBulkHdrBytes && t.off == t.size) {
       stats_.bulk_tx_transfers++;
       stats_.bulk_tx_bytes += t.size;
-      if (t.zc_used && t.zc_last >= b->zc_done) {
-        // Pages still pinned by the kernel: hold kBulkSent until the
-        // errqueue confirms (the engine's send buffer must stay valid).
-        b->zc_wait.push_back({t.cookie, t.zc_last});
-      } else {
-        ProtoMsg m;
-        m.kind = MsgKind::kBulkSent;
-        m.src = rank_;
-        m.sender_req = t.cookie;
-        arrivals_.push_back(std::move(m));
-      }
+      ProtoMsg m;
+      m.kind = MsgKind::kBulkSent;
+      m.src = rank_;
+      m.sender_req = t.cookie;
+      arrivals_.push_back(std::move(m));
       b->txq.pop_front();
     } else {
       break;
@@ -1780,44 +1623,6 @@ bool SocketFabric::pump_bulk_tx(int peer, BulkChan* b) {
   return any;
 }
 
-bool SocketFabric::reap_zerocopy(BulkChan* b) {
-  bool any = false;
-#if LCMPI_HAVE_ZEROCOPY
-  for (;;) {
-    msghdr msg{};
-    alignas(cmsghdr) char ctl[256];
-    msg.msg_control = ctl;
-    msg.msg_controllen = sizeof ctl;
-    const ssize_t n = ::recvmsg(b->fd, &msg, MSG_ERRQUEUE);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;  // EAGAIN: queue empty
-    }
-    for (cmsghdr* cm = CMSG_FIRSTHDR(&msg); cm != nullptr;
-         cm = CMSG_NXTHDR(&msg, cm)) {
-      if (cm->cmsg_len < CMSG_LEN(sizeof(sock_extended_err))) continue;
-      sock_extended_err serr;
-      std::memcpy(&serr, CMSG_DATA(cm), sizeof serr);
-      if (serr.ee_errno != 0 || serr.ee_origin != SO_EE_ORIGIN_ZEROCOPY)
-        continue;
-      // [ee_info, ee_data] is the completed zerocopy-send seq range.
-      stats_.zerocopy_completions += serr.ee_data - serr.ee_info + 1;
-      b->zc_done = std::max(b->zc_done, serr.ee_data + 1);
-    }
-  }
-#endif
-  while (!b->zc_wait.empty() && b->zc_wait.front().zc_last < b->zc_done) {
-    ProtoMsg m;
-    m.kind = MsgKind::kBulkSent;
-    m.src = rank_;
-    m.sender_req = b->zc_wait.front().cookie;
-    arrivals_.push_back(std::move(m));
-    b->zc_wait.pop_front();
-    any = true;
-  }
-  return any;
-}
-
 void SocketFabric::flush_bulk() noexcept {
   // Bounded best-effort drain of whatever the bulk plane still owes
   // (normally nothing: every engine send completed before finalize).
@@ -1829,11 +1634,9 @@ void SocketFabric::flush_bulk() noexcept {
       for (int peer = 0; peer < nranks_; ++peer) {
         if (peer == rank_) continue;
         BulkChan* b = bulk_[static_cast<std::size_t>(peer)].tx;
-        if (b == nullptr || b->closed) continue;
-        if (b->txq.empty() && b->zc_wait.empty()) continue;
+        if (b == nullptr || b->closed || b->txq.empty()) continue;
         pending = true;
-        if (try_finish_bulk_negotiation(peer, b))
-          moved = pump_bulk_tx(peer, b) || moved;
+        moved = pump_bulk_tx(peer, b) || moved;
       }
       if (!pending || Clock::now() >= deadline) return;
       if (!moved) std::this_thread::sleep_for(std::chrono::milliseconds(1));

@@ -45,17 +45,16 @@
 // connecting is invisible here; the SocketWorld launcher detects that
 // (a result pipe closing recordless) and kills/reports.
 //
-// Bulk data plane (Options::bulk, default kMemfd): rendezvous payloads
-// leave the framed control socket entirely, on a second lazily-dialed
-// per-pair socket — raw streaming, one 16-byte {cookie, size} header per
-// transfer — with co-located AF_UNIX pairs upgrading to a memfd-backed
-// pair of mmap'd byte rings (BulkHello + SCM_RIGHTS at dial time; the
-// dialer writes its half of the handshake and keeps transmitting into
-// the queue until the acceptor's reply arrives asynchronously).
-// Transfers pump in bounded chunks interleaved with control-plane
-// progress, so a 64 MiB push never head-of-line-blocks an eager ping —
-// the latency/bandwidth isolation the paper gets from separating its
-// protocol and data channels.
+// Bulk data plane: rendezvous payloads leave the framed control socket
+// entirely, on a second lazily-dialed per-pair socket. The plane is fixed
+// by the domain, so both ends know it without asking: on AF_UNIX the
+// dialer passes a memfd-backed pair of mmap'd byte rings (SCM_RIGHTS)
+// right behind its Hello and payload bytes never cross a socket again;
+// on AF_INET the socket itself carries raw streaming, one 16-byte
+// {cookie, size} header per transfer. Transfers pump in bounded chunks
+// interleaved with control-plane progress, so a 64 MiB push never
+// head-of-line-blocks an eager ping — the latency/bandwidth isolation
+// the paper gets from separating its protocol and data channels.
 #pragma once
 
 #include <chrono>
@@ -76,47 +75,16 @@ class SocketFabric final : public Fabric {
   /// Which kernel transport carries the connections.
   enum class Domain : std::uint8_t { kUnix, kInet };
 
-  /// How rendezvous payloads travel (the bulk data plane).
-  ///
-  ///  kInline — the pre-bulk-plane baseline: payloads ride the framed
-  ///            control socket as kRdata (head-of-line-blocks envelopes;
-  ///            kept for ablation/benchmark comparison). Must be uniform
-  ///            across the world: kInline ranks dial no bulk sockets.
-  ///  kStream — a SECOND per-pair socket dedicated to bulk bytes: raw
-  ///            streaming with one 16-byte header per transfer (no
-  ///            per-chunk framing), MSG_ZEROCOPY opportunistically where
-  ///            the kernel supports it (AF_INET).
-  ///  kMemfd  — as kStream, plus co-located AF_UNIX pairs negotiate a
-  ///            memfd + mmap'd byte ring per direction at dial time and
-  ///            do single-copy receives straight into the posted buffer;
-  ///            pairs where either side lacks memfd support (or the
-  ///            domain is AF_INET) degrade to the stream socket.
-  enum class Bulk : std::uint8_t { kInline, kStream, kMemfd };
-
   struct Options {
     FabricCaps caps;
     /// Zero: host work takes real time, as on ShmFabric.
     MpiCosts costs;
     Domain domain = Domain::kUnix;
-    Bulk bulk = Bulk::kMemfd;
-    /// Per-direction memfd ring capacity (kMemfd pairs).
+    /// Per-direction memfd ring capacity (AF_UNIX pairs).
     std::size_t bulk_ring_bytes = 4 << 20;
-    /// Max bulk payload bytes moved per pump: bounds how long a huge
-    /// transfer can monopolize the progress loop between control-plane
-    /// polls (the anti-head-of-line knob).
-    std::size_t bulk_chunk_bytes = 256 << 10;
-    /// Attempt SO_ZEROCOPY/MSG_ZEROCOPY on AF_INET bulk stream sockets
-    /// (completion-reaped via MSG_ERRQUEUE; plain send on any failure).
-    bool bulk_zerocopy = true;
-    /// Rendezvous/connect patience: per-attempt backoff doubles from
-    /// `backoff_floor` to `backoff_cap`; giving up after `dial_deadline`
-    /// total raises FabricError (a peer that never came up).
-    std::chrono::milliseconds backoff_floor{1};
-    std::chrono::milliseconds backoff_cap{100};
+    /// Rendezvous/connect patience: giving up after `dial_deadline` total
+    /// raises FabricError (a peer that never came up).
     std::chrono::milliseconds dial_deadline{10'000};
-    /// wait_activity epoll_wait slice (bounds wakeup staleness only;
-    /// arrivals interrupt it immediately).
-    std::chrono::milliseconds poll_slice{100};
     Options() {
       caps.hw_broadcast = false;  // software tree broadcast
       caps.pull_bulk = false;     // push-mode rendezvous (CTS/RDATA)
@@ -203,15 +171,13 @@ class SocketFabric final : public Fabric {
     std::uint64_t pairs_connected = 0;  // peers ever control-connected
     std::uint64_t lazy_dials = 0;       // data-phase dials we initiated
     std::uint64_t epoll_wakeups = 0;    // epoll_wait returns with >=1 event
-    // Bulk data plane (zero when Options::bulk == Bulk::kInline).
+    // Bulk data plane.
     std::uint64_t bulk_tx_transfers = 0;  // bulk_send transfers completed
     std::uint64_t bulk_rx_transfers = 0;  // inbound transfers delivered
     std::uint64_t bulk_tx_bytes = 0;      // payload bytes sent on the bulk plane
     std::uint64_t bulk_rx_bytes = 0;      // payload bytes received on the bulk plane
-    std::uint64_t memfd_pairs = 0;        // pairs that negotiated a shared ring
+    std::uint64_t memfd_pairs = 0;        // bulk channels backed by a shared ring
     std::uint64_t doorbells_tx = 0;       // ring doorbell bytes written
-    std::uint64_t zerocopy_sends = 0;     // MSG_ZEROCOPY sendmsg calls issued
-    std::uint64_t zerocopy_completions = 0;  // errqueue notifications reaped
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
 
@@ -272,8 +238,8 @@ class SocketFabric final : public Fabric {
   /// Ensures a control link to `peer` exists: accepts any pending inbound
   /// dial first (the peer may have beaten us), then dials its listener.
   Conn& ensure_conn(int peer);
-  /// Ensures a primary bulk channel to `peer` exists (dialing + starting
-  /// the async BulkHello negotiation if needed).
+  /// Ensures a primary bulk channel to `peer` exists (dialing it, and on
+  /// AF_UNIX passing the ring's memfd, if needed).
   BulkChan& ensure_bulk(int peer);
   /// Drains the listener: accepts every pending connection, reads its
   /// identifying Hello (bounded-blocking), and files it as a control or
@@ -294,14 +260,14 @@ class SocketFabric final : public Fabric {
   void parse_frames(int peer, Link& l);
   void close_link(Link& l) noexcept;
   void send_frame(int peer, const ProtoMsg& msg);
-  /// Bulk-plane progress for one channel: finish any pending BulkHello
-  /// negotiation, receive side (ring or stream, into the registered
-  /// landing buffer), then transmit side (chunk-capped, primary only).
+  /// Bulk-plane progress for one channel: receive side (ring or stream,
+  /// into the registered landing buffer), then transmit side
+  /// (chunk-capped, primary only).
   bool pump_bulk(int peer, BulkChan* b);
   bool pump_bulk_rx(int peer, BulkChan* b);
   bool pump_bulk_tx(int peer, BulkChan* b);
-  /// One tx pass over bulk channels with queued transfers or pending
-  /// zerocopy completions; true if any bytes moved.
+  /// One tx pass over bulk channels with queued transfers; true if any
+  /// bytes moved.
   bool pump_bulk_tx_pending();
   /// Marks `peer`'s primary bulk channel as having queued tx work.
   void note_bulk_tx_pending(int peer);
@@ -312,14 +278,12 @@ class SocketFabric final : public Fabric {
   /// wakeup.
   bool pump_bulk_rx_pending();
   void note_bulk_rx_pending(int peer, BulkChan* b);
-  bool try_finish_bulk_negotiation(int peer, BulkChan* b);
   void bulk_queue(int peer, std::uint64_t cookie, const void* data,
                   std::size_t size);
   void bulk_eof(int peer, BulkChan* b, const char* detail);
   void begin_bulk_rx(int peer, BulkChan* b);
   void finish_bulk_rx(int peer, BulkChan* b);
   void ring_doorbell(BulkChan* b);
-  bool reap_zerocopy(BulkChan* b);
   void flush_bulk() noexcept;  // bounded best-effort tx drain before BYE
   void say_bye() noexcept;
   [[nodiscard]] int track_open(int fd);   // fds_open++ passthrough

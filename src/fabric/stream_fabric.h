@@ -12,12 +12,12 @@
 // performs one charged read for the type byte, one for the control block,
 // and one for any payload.
 //
-// Bulk plane: deliberately BulkPlane::kInline. This fabric exists to
-// reproduce the paper's measured virtual-time figures, whose cost model
-// charges rendezvous payloads on the same stream as the control records;
-// routing them around the model would invalidate every calibrated number.
-// The zero-copy seam (fabric.h) is exercised by the real-execution
-// fabrics (ShmFabric, SocketFabric) instead.
+// Bulk plane: none — rendezvous payloads travel inline as kRdata. This
+// fabric exists to reproduce the paper's measured virtual-time figures,
+// whose cost model charges rendezvous payloads on the same stream as the
+// control records; routing them around the model would invalidate every
+// calibrated number. The bulk-plane seam (fabric.h) belongs to the
+// real-execution fabrics (ShmFabric, SocketFabric).
 #pragma once
 
 #include <map>

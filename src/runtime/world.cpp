@@ -157,6 +157,7 @@ Duration ThreadsWorld::run(const RankFn& fn) {
       } catch (...) {
         errors[static_cast<std::size_t>(r)] = std::current_exception();
       }
+      fabric_->retire(r);
     });
   }
   for (std::thread& t : threads) t.join();
@@ -327,8 +328,7 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
     try {
       fabric::SocketFabric::Rendezvous child_rdv = rdv;
       child_rdv.listen_fd = (!unix_domain && r == 0) ? listen_fd : -1;
-      fabric::SocketFabric fab(n, r, child_rdv,
-                               rank_opt_ ? rank_opt_(r, opt_) : opt_);
+      fabric::SocketFabric fab(n, r, child_rdv, opt_);
       auto actor = sim::Actor::detached("rank-" + std::to_string(r));
       sim::Actor::BindScope bind(actor.get());
       mpi::Engine engine(fab.endpoint(r), *actor, engine_cfg_);

@@ -187,17 +187,6 @@ class SocketWorld {
 
   [[nodiscard]] int nranks() const { return nranks_; }
 
-  /// Per-rank Options override, applied in each child on top of the
-  /// world's base Options before the fabric is built. This is how tests
-  /// exercise asymmetric bulk negotiation (e.g. one kMemfd rank against
-  /// one kStream rank — the pair must degrade to stream, not hang).
-  /// Options::bulk may only vary between kStream and kMemfd: a kInline
-  /// rank builds half the connections and deadlocks the mesh.
-  using RankOptions =
-      std::function<fabric::SocketFabric::Options(int rank,
-                                                  fabric::SocketFabric::Options)>;
-  void set_rank_options(RankOptions fn) { rank_opt_ = std::move(fn); }
-
   /// Forks, runs `fn` on every rank, joins. Returns wall-clock elapsed.
   Duration run(const RankFn& fn);
 
@@ -210,7 +199,6 @@ class SocketWorld {
  private:
   int nranks_;
   fabric::SocketFabric::Options opt_;
-  RankOptions rank_opt_;
   mpi::EngineConfig engine_cfg_;
   std::string unix_dir_;  // mkdtemp'd socket dir (kUnix), removed in dtor
   Duration elapsed_{};    // wall-clock of the (single) run

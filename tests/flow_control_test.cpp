@@ -3,6 +3,8 @@
 // argument validation.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/runtime/world.h"
 
 namespace lcmpi::mpi {
@@ -79,6 +81,39 @@ TEST(CreditFlowTest, SynchronousSendsUnderTightCredit) {
     }
   });
   SUCCEED();
+}
+
+TEST(CreditFlowTest, SendLargerThanTheWindowRaisesNamingBothParameters) {
+  // Eager threshold == the 16 KiB window: a 16 KiB eager send needs its
+  // 25 B control record on top, more credit than the receiver can ever
+  // grant. It must fail at isend instead of waiting forever; 25 B less
+  // fits and is delivered. The receiver never posts the refused message.
+  fabric::LoopFabric::Options opt = credit_opts(16 * 1024);
+  opt.caps.pull_bulk = false;
+  EngineConfig cfg;
+  cfg.eager_threshold_override = 16 * 1024;
+  LoopWorld w(2, opt, cfg);
+  Err code = Err::kSuccess;
+  std::string error;
+  std::int64_t delivered = -1;
+  w.run([&](Comm& c, sim::Actor&) {
+    Bytes buf(16 * 1024, std::byte{4});
+    if (c.rank() == 0) {
+      try {
+        c.send(buf.data(), 16 * 1024, Datatype::byte_type(), 1, 0);
+      } catch (const MpiError& e) {
+        code = e.code();
+        error = e.what();
+      }
+      c.send(buf.data(), 16 * 1024 - 25, Datatype::byte_type(), 1, 1);
+    } else {
+      delivered = c.recv(buf.data(), 16 * 1024, Datatype::byte_type(), 0, 1).count_bytes;
+    }
+  });
+  EXPECT_EQ(code, Err::kResources);
+  EXPECT_NE(error.find("eager_threshold = 16384"), std::string::npos) << error;
+  EXPECT_NE(error.find("credit_bytes = 16384"), std::string::npos) << error;
+  EXPECT_EQ(delivered, 16 * 1024 - 25);
 }
 
 TEST(SlotFlowTest, SingleSlotCyclesThroughManyMessages) {

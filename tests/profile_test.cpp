@@ -115,7 +115,7 @@ TEST(ProfileTest, FabricReportFormatsScaleGauges) {
   ss.pairs_connected = 2;
   ss.lazy_dials = 2;
   ss.epoll_wakeups = 40;
-  EXPECT_EQ(fabric_report(ss).rows(), 19u);
+  EXPECT_EQ(fabric_report(ss).rows(), 17u);
 
   // ShmFabric: live counters from a real mux-mode run.
   fabric::ShmFabric::Options opt;

@@ -8,9 +8,11 @@
 // exception becomes a rank-failure record the launcher rethrows.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/capi/mpi.h"
@@ -207,27 +209,13 @@ TEST(SocketWorldScale, RingConnectsNeighborsOnlyFdsSublinear) {
 // ------------------------------------------------- bulk-data-plane battery
 
 TEST(SocketWorldConformance, MixedTrafficMemfdBulk) {
-  // Default options: co-located AF_UNIX ranks negotiate the memfd ring;
-  // 1 MiB rendezvous payloads and eager pings interleave on one pair.
+  // AF_UNIX: the bulk plane is the memfd ring; 1 MiB rendezvous payloads
+  // and eager pings interleave on one pair.
   conform(2, mixed_traffic_program);
 }
 
-TEST(SocketWorldConformance, MixedTrafficStreamBulk) {
-  fabric::SocketFabric::Options opt;
-  opt.bulk = fabric::SocketFabric::Bulk::kStream;
-  conform(2, mixed_traffic_program, opt);
-}
-
-TEST(SocketWorldConformance, MixedTrafficInlineBaseline) {
-  // The pre-bulk-plane path (payloads as framed kRdata) must still agree.
-  fabric::SocketFabric::Options opt;
-  opt.bulk = fabric::SocketFabric::Bulk::kInline;
-  conform(2, mixed_traffic_program, opt);
-}
-
-TEST(SocketWorldConformance, MixedTrafficInetZerocopyStream) {
-  // AF_INET never negotiates memfd: kMemfd degrades to the zerocopy
-  // stream path (MSG_ZEROCOPY where the kernel grants SO_ZEROCOPY).
+TEST(SocketWorldConformance, MixedTrafficInetStream) {
+  // AF_INET: the bulk plane is the dedicated stream socket.
   fabric::SocketFabric::Options opt;
   opt.domain = fabric::SocketFabric::Domain::kInet;
   conform(2, mixed_traffic_program, opt);
@@ -242,35 +230,53 @@ TEST(SocketWorldConformance, MixedTrafficTinyRingForcesWraparound) {
 }
 
 TEST(SocketWorldConformance, TruncatedRendezvousAllPlanes) {
-  for (const auto bulk : {fabric::SocketFabric::Bulk::kMemfd,
-                          fabric::SocketFabric::Bulk::kStream,
-                          fabric::SocketFabric::Bulk::kInline}) {
+  // The memfd ring (AF_UNIX) and the stream socket (AF_INET).
+  for (const auto domain : {fabric::SocketFabric::Domain::kUnix,
+                            fabric::SocketFabric::Domain::kInet}) {
     fabric::SocketFabric::Options opt;
-    opt.bulk = bulk;
+    opt.domain = domain;
     conform(2, truncation_program, opt);
   }
 }
 
-TEST(SocketWorldConformance, MemfdFallbackNegotiation) {
-  // Rank 0 wants the memfd ring, rank 1 is stream-only: the BulkHello
-  // exchange must degrade the pair to stream mode — identical results,
-  // no hang, no misdelivered bytes.
-  const Program& prog = mixed_traffic_program;
-  runtime::SocketWorld world(2);
-  world.set_rank_options([](int rank, fabric::SocketFabric::Options base) {
-    base.bulk = rank == 0 ? fabric::SocketFabric::Bulk::kMemfd
-                          : fabric::SocketFabric::Bulk::kStream;
-    return base;
-  });
-  const std::vector<Bytes> raw =
-      world.run_collect([&prog](mpi::Comm& comm, sim::Actor&) {
-        RankLog log;
-        prog(comm, log);
-        return log.serialize();
-      });
-  std::vector<RankLog> logs;
-  for (const Bytes& b : raw) logs.push_back(RankLog::deserialize(b));
-  expect_logs_equal(run_on_loop(2, prog), logs);
+TEST(SocketWorldTest, RendezvousPlaneFollowsDomain) {
+  // One 1 MiB rendezvous message per domain. AF_UNIX pairs always map a
+  // memfd ring; AF_INET pairs never do. Either way the receiver counts
+  // the whole payload as bulk-plane bytes.
+  constexpr int kBig = 1 << 20;
+  for (const auto domain : {fabric::SocketFabric::Domain::kUnix,
+                            fabric::SocketFabric::Domain::kInet}) {
+    fabric::SocketFabric::Options opt;
+    opt.domain = domain;
+    runtime::SocketWorld world(2, opt);
+    const std::vector<Bytes> raw = world.run_collect_fab(
+        [](mpi::Comm& c, sim::Actor&, fabric::SocketFabric& fab) {
+          std::vector<unsigned char> buf(kBig, 0x6d);
+          if (c.rank() == 0) {
+            c.send(buf.data(), kBig, Datatype::byte_type(), 1, 3);
+          } else {
+            c.recv(buf.data(), kBig, Datatype::byte_type(), 0, 3);
+          }
+          Bytes out;
+          ByteWriter w(out);
+          w.put(fab.stats().memfd_pairs);
+          w.put(fab.stats().bulk_rx_bytes);
+          return out;
+        });
+    const bool unix_domain = domain == fabric::SocketFabric::Domain::kUnix;
+    for (int r = 0; r < 2; ++r) {
+      ByteReader rd(raw[static_cast<std::size_t>(r)]);
+      const auto memfd_pairs = rd.get<std::uint64_t>();
+      const auto bulk_rx_bytes = rd.get<std::uint64_t>();
+      if (unix_domain) {
+        EXPECT_GT(memfd_pairs, 0u) << "rank " << r;
+      } else {
+        EXPECT_EQ(memfd_pairs, 0u) << "rank " << r;
+      }
+      EXPECT_EQ(bulk_rx_bytes, r == 1 ? std::uint64_t{kBig} : 0u)
+          << "rank " << r << (unix_domain ? " (AF_UNIX)" : " (AF_INET)");
+    }
+  }
 }
 
 TEST(SocketWorldTest, PeerDeathMidBulkTransferMemfd) {
@@ -299,8 +305,9 @@ TEST(SocketWorldTest, PeerDeathMidBulkTransferMemfd) {
 }
 
 TEST(SocketWorldTest, PeerDeathMidBulkTransferStream) {
+  // The same death over AF_INET, whose bulk plane is the stream socket.
   fabric::SocketFabric::Options opt;
-  opt.bulk = fabric::SocketFabric::Bulk::kStream;
+  opt.domain = fabric::SocketFabric::Domain::kInet;
   runtime::SocketWorld world(2, opt);
   try {
     world.run([](mpi::Comm& c, sim::Actor&) {
@@ -406,6 +413,40 @@ TEST(SocketWorldTest, PeerDeathSurfacesCleanErrorNotHang) {
     FAIL() << "peer death was not detected";
   } catch (const fabric::FabricError& e) {
     EXPECT_NE(std::string(e.what()).find("died"), std::string::npos) << e.what();
+  }
+}
+
+TEST(SocketWorldTest, CreditReturnsToAFinishedRankAreDropped) {
+  // Rank 0 sends 150 eager messages (13 KiB of its 16 KiB credit window,
+  // so it never waits for credit) and a closing tag-99 message, then
+  // finishes: goodbye, close, exit. Rank 1 takes tag 99 first and
+  // consumes the rest after rank 0 is gone, which owes rank 0 three
+  // credit returns. They must be dropped; a send to a finished peer is
+  // otherwise an error. Both domains: AF_INET may answer a write to the
+  // closed socket with a reset.
+  for (const auto domain :
+       {fabric::SocketFabric::Domain::kUnix, fabric::SocketFabric::Domain::kInet}) {
+    fabric::SocketFabric::Options opt;
+    opt.domain = domain;
+    runtime::SocketWorld world(2, opt);
+    world.run([](mpi::Comm& c, sim::Actor&) {
+      const auto byte = Datatype::byte_type();
+      constexpr int kMsgs = 150;
+      std::vector<unsigned char> buf(64, 0xab);
+      if (c.rank() == 0) {
+        for (int i = 0; i < kMsgs; ++i)
+          c.send(buf.data(), static_cast<int>(buf.size()), byte, 1, 5);
+        c.send(buf.data(), 1, byte, 1, 99);
+        return;
+      }
+      c.recv(buf.data(), 1, byte, 0, 99);
+      std::this_thread::sleep_for(std::chrono::milliseconds(100));  // rank 0 exits
+      for (int i = 0; i < kMsgs; ++i) {
+        std::vector<unsigned char> in(64);
+        c.recv(in.data(), static_cast<int>(in.size()), byte, 0, 5);
+        if (in != buf) throw std::runtime_error("payload corrupted");
+      }
+    });
   }
 }
 

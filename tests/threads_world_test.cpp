@@ -8,7 +8,10 @@
 // concurrency, so CI also runs it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "src/capi/mpi.h"
@@ -92,25 +95,15 @@ TEST(ThreadsWorldConformance, CreditExhaustionTinyRings) {
 }
 
 TEST(ThreadsWorldConformance, MixedTrafficDirectBulkHandoff) {
-  // Default: rendezvous payloads cross threads via the registered-buffer
-  // direct copy (BulkPlane::kShared), eager chatter via the rings.
+  // Rendezvous payloads cross threads via the registered-buffer direct
+  // copy, eager chatter via the rings.
   conform(2, mixed_traffic_program);
 }
 
-TEST(ThreadsWorldConformance, MixedTrafficInlineAblation) {
-  // bulk_direct off: payloads staged through ring slots (the pre-bulk
-  // baseline). Same observable results, one extra copy.
-  fabric::ShmFabric::Options opt;
-  opt.bulk_direct = false;
-  conform(2, mixed_traffic_program, opt);
-}
-
 TEST(ThreadsWorldConformance, TruncatedRendezvousBothPlanes) {
-  for (const bool direct : {true, false}) {
-    fabric::ShmFabric::Options opt;
-    opt.bulk_direct = direct;
-    conform(2, truncation_program, opt);
-  }
+  // Truncation through the direct copy: bytes past the posted buffer
+  // are dropped and the Status reports them.
+  conform(2, truncation_program);
 }
 
 TEST(ThreadsWorldTest, DirectBulkHandoffCountsTransfers) {
@@ -319,6 +312,70 @@ TEST(ThreadsWorldTest, TinyRingsForceFullRingParking) {
   });
   // 300 eager messages through 2-slot rings: the sender must have parked.
   EXPECT_GT(world.fabric().stats().full_parks, 0u);
+}
+
+TEST(ThreadsWorldTest, CreditReturnsToAFinishedRankAreDropped) {
+  // Rank 0 sends 150 eager messages (13 KiB of its 16 KiB credit window,
+  // so it never waits for credit) and a closing tag-99 message, then
+  // finishes. Rank 1 takes tag 99 first, leaving the rest unexpected, and
+  // consumes them only once rank 0 is done. That owes rank 0 three credit
+  // returns, and the 2-slot 1->0 ring holds two: the third must be
+  // dropped, not park forever on a ring nobody drains.
+  fabric::ShmFabric::Options opt;
+  opt.ring_slots = 2;
+  runtime::ThreadsWorld world(2, opt);
+  constexpr int kMsgs = 150;
+  std::atomic<bool> rank0_done{false};
+  int intact = 0;
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto byte = Datatype::byte_type();
+    std::vector<unsigned char> buf(64, 0xab);
+    if (c.rank() == 0) {
+      for (int i = 0; i < kMsgs; ++i)
+        c.send(buf.data(), static_cast<int>(buf.size()), byte, 1, 5);
+      c.send(buf.data(), 1, byte, 1, 99);
+      rank0_done.store(true);
+      return;
+    }
+    c.recv(buf.data(), 1, byte, 0, 99);
+    while (!rank0_done.load()) std::this_thread::yield();
+    for (int i = 0; i < kMsgs; ++i) {
+      std::vector<unsigned char> in(64);
+      c.recv(in.data(), static_cast<int>(in.size()), byte, 0, 5);
+      if (in == buf) ++intact;
+    }
+  });
+  EXPECT_EQ(intact, kMsgs);
+}
+
+TEST(ThreadsWorldTest, SendLargerThanTheWindowRaisesNamingBothParameters) {
+  // Eager threshold == the default 16 KiB credit window: a 16 KiB send
+  // can never launch and must raise on the sending rank, which catches it
+  // and carries on; 25 B less (one control record) fits and is delivered.
+  mpi::EngineConfig cfg;
+  cfg.eager_threshold_override = 16 * 1024;
+  runtime::ThreadsWorld world(2, {}, cfg);
+  Err code = Err::kSuccess;
+  std::string error;
+  std::int64_t delivered = -1;
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    std::vector<unsigned char> buf(16 * 1024, 0x5c);
+    if (c.rank() == 0) {
+      try {
+        c.send(buf.data(), 16 * 1024, Datatype::byte_type(), 1, 0);
+      } catch (const MpiError& e) {
+        code = e.code();
+        error = e.what();
+      }
+      c.send(buf.data(), 16 * 1024 - 25, Datatype::byte_type(), 1, 1);
+    } else {
+      delivered = c.recv(buf.data(), 16 * 1024, Datatype::byte_type(), 0, 1).count_bytes;
+    }
+  });
+  EXPECT_EQ(code, Err::kResources);
+  EXPECT_NE(error.find("eager_threshold = 16384"), std::string::npos) << error;
+  EXPECT_NE(error.find("credit_bytes = 16384"), std::string::npos) << error;
+  EXPECT_EQ(delivered, 16 * 1024 - 25);
 }
 
 TEST(ThreadsWorldTest, RankExceptionPropagatesAfterJoin) {
