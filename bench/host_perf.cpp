@@ -112,6 +112,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench/mutex_channel.h"
 #include "src/apps/particles.h"
 #include "src/apps/solver.h"
 #include "src/atmnet/atm.h"

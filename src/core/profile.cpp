@@ -84,9 +84,7 @@ Table fabric_report(const fabric::ShmFabric::Stats& s) {
   t.add_row({"idle_parks", std::to_string(s.idle_parks)});
   t.add_row({"bulk_transfers", std::to_string(s.bulk_transfers)});
   t.add_row({"bulk_bytes", std::to_string(s.bulk_bytes)});
-  t.add_row({"mux_msgs", std::to_string(s.mux_msgs)});
-  t.add_row({"promoted_pairs", std::to_string(s.promoted_pairs)});
-  t.add_row({"mux_pairs", std::to_string(s.mux_pairs)});
+  t.add_row({"rings", std::to_string(s.rings)});
   return t;
 }
 

@@ -42,8 +42,8 @@ namespace lcmpi::mpi {
 /// story directly: idle pairs cost zero fds and zero dials.
 [[nodiscard]] Table fabric_report(const fabric::SocketFabric::Stats& s);
 
-/// Formats ShmFabric transport counters, including the mux-mode gauges
-/// (mux_msgs, promoted_pairs, mux_pairs — all zero when mux is off).
+/// Formats ShmFabric transport counters. The `rings` gauge is the shm
+/// counterpart of pairs_connected: rings exist only for pairs that sent.
 [[nodiscard]] Table fabric_report(const fabric::ShmFabric::Stats& s);
 
 /// Formats an engine BufferPool's recycling counters (acquires, capacity

@@ -5,8 +5,12 @@
 #include <map>
 #include <mutex>
 
+#include "src/util/spsc_ring.h"
+
 namespace lcmpi::fabric {
 namespace {
+
+using Channel = util::SpscChannel<ProtoMsg>;
 
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -21,24 +25,13 @@ inline void cpu_relax() {
 // bounds wakeup staleness in the already-fenced-away race cases.
 constexpr std::chrono::milliseconds kIdleSlice{10};
 
-// Mux promotion marker: the sender's LAST message through the shared
-// MPMC ring, telling the receiver "everything after this is in our
-// dedicated ring". Kind 0 is never a live MsgKind (those start at 1) and
-// never leaves the fabric.
-constexpr auto kPromoteMarker = static_cast<MsgKind>(0);
-
 }  // namespace
 
 class ShmFabric::Ep final : public Endpoint {
  public:
-  Ep(ShmFabric& f, int rank, int nranks) : Endpoint(f, rank), owner_(f) {
-    if (f.opt_.mux) {
-      sent_count_ =
-          std::make_unique<std::atomic<std::uint32_t>[]>(static_cast<std::size_t>(nranks));
-      for (int d = 0; d < nranks; ++d)
-        sent_count_[static_cast<std::size_t>(d)].store(0, std::memory_order_relaxed);
-    }
-  }
+  Ep(ShmFabric& f, int rank, int nranks)
+      : Endpoint(f, rank), owner_(f), out_(static_cast<std::size_t>(nranks)),
+        in_(static_cast<std::size_t>(nranks)) {}
 
   void send(sim::Actor&, int dst, ProtoMsg msg) override {
     msg.src = rank_;
@@ -47,11 +40,7 @@ class ShmFabric::Ep final : public Endpoint {
     // is dropped: that rank never drains its rings again, and never sends
     // again, so parking on the ring would hang this rank for nothing.
     const Ep* unless_retired = is_flow_return(msg.kind) ? &to : nullptr;
-    const bool pushed =
-        owner_.opt_.mux
-            ? send_mux(dst, std::move(msg), unless_retired)
-            : push_blocking(owner_.chan(rank_, dst), std::move(msg), unless_retired);
-    if (!pushed) return;
+    if (!push_blocking(ring_to(to), std::move(msg), unless_retired)) return;
     messages_.fetch_add(1, std::memory_order_relaxed);
     to.notify_arrival();
   }
@@ -69,21 +58,9 @@ class ShmFabric::Ep final : public Endpoint {
     const std::uint64_t seen = wake_seq_.load(std::memory_order_acquire);
     const auto ready = [this, seen] {
       if (wake_seq_.load(std::memory_order_acquire) != seen) return true;
-      if (owner_.opt_.mux) {
-        // A promoted pair whose marker we have not consumed yet still
-        // has that marker in the mux ring, so "mux ring non-empty" also
-        // covers not-yet-visible dedicated rings.
-        if (!owner_.mux_[static_cast<std::size_t>(rank_)]->ring().empty_approx())
-          return true;
-        for (const int src : promoted_srcs_) {
-          Channel* sp = owner_.promoted(src, rank_).load(std::memory_order_acquire);
-          if (!sp->ring().empty_approx()) return true;
-        }
-        return false;
-      }
-      const int n = owner_.nranks();
-      for (int src = 0; src < n; ++src)
-        if (!owner_.chan(src, rank_).ring().empty_approx()) return true;
+      const std::size_t k = in_count_.load(std::memory_order_acquire);
+      for (std::size_t i = 0; i < k; ++i)
+        if (!in_[i]->ring().empty_approx()) return true;
       return false;
     };
     // Spin briefly first: the latency-critical case (ping-pong) has the
@@ -176,8 +153,6 @@ class ShmFabric::Ep final : public Endpoint {
 
   void notify_arrival() { pad_.unpark(); }
 
-  [[nodiscard]] util::ParkingLot& pad() { return pad_; }
-
  private:
   /// Pushes one envelope into `ch`, parking on backpressure. Ring full is
   /// transport backpressure: a failed try_push moves nothing (the full
@@ -189,9 +164,8 @@ class ShmFabric::Ep final : public Endpoint {
   /// calls, not during them. Drained envelopes go to a staging queue that
   /// poll() serves first, preserving per-source FIFO. Short park slices
   /// bound retry latency when inbound is dry. Returns false, having
-  /// pushed nothing, once `unless_retired` (if given) has retired.
-  template <typename Ch>
-  bool push_blocking(Ch& ch, ProtoMsg msg, const Ep* unless_retired = nullptr) {
+  /// pushed nothing, once `unless_retired` (if not null) has retired.
+  bool push_blocking(Channel& ch, ProtoMsg msg, const Ep* unless_retired) {
     if (ch.try_push(std::move(msg))) return true;
     full_parks_.fetch_add(1, std::memory_order_relaxed);
     for (;;) {
@@ -207,64 +181,38 @@ class ShmFabric::Ep final : public Endpoint {
     }
   }
 
-  /// Mux-mode send: promoted pairs use their dedicated SPSC ring; the
-  /// rest share the receiver's MPMC ring. Promotion happens here, on the
-  /// sender's thread, when this pair's traffic crosses the threshold: the
-  /// dedicated ring is published first (release), then the marker goes
-  /// into the mux ring as this sender's LAST mux message — the receiver
-  /// orders the two streams by refusing to read the dedicated ring until
-  /// the marker arrives, which keeps per-(src,dst) FIFO intact. Returns
-  /// false if push_blocking dropped `msg`.
-  bool send_mux(int dst, ProtoMsg msg, const Ep* unless_retired) {
-    if (Channel* sp = owner_.promoted(rank_, dst).load(std::memory_order_acquire))
-      return push_blocking(*sp, std::move(msg), unless_retired);
-    MuxChannel& mux = *owner_.mux_[static_cast<std::size_t>(dst)];
-    if (!push_blocking(mux, std::move(msg), unless_retired)) return false;
-    mux_msgs_.fetch_add(1, std::memory_order_relaxed);
-    const auto sent =
-        sent_count_[static_cast<std::size_t>(dst)].fetch_add(
-            1, std::memory_order_relaxed) + 1;
-    if (sent == owner_.opt_.mux_promote_after) {
-      auto ch = std::make_unique<Channel>(owner_.opt_.ring_slots);
-      ch->share_consumer_pad(&owner_.eps_[static_cast<std::size_t>(dst)]->pad());
-      owner_.promoted(rank_, dst).store(ch.release(), std::memory_order_release);
-      ProtoMsg marker;
-      marker.kind = kPromoteMarker;
-      marker.src = rank_;
-      (void)push_blocking(mux, std::move(marker), unless_retired);
-    }
-    return true;
+  /// This rank's ring toward `to`, created on the first send to it and
+  /// handed to `to` for publication. Only this rank's thread touches out_.
+  Channel& ring_to(Ep& to) {
+    Channel*& ch = out_[static_cast<std::size_t>(to.rank_)];
+    if (ch == nullptr) ch = to.publish(std::make_unique<Channel>(owner_.opt_.ring_slots));
+    return *ch;
   }
 
-  /// Pops the next available inbound envelope from the transport rings
-  /// (staging queue NOT consulted — callers handle staged_ first). Mux
-  /// mode drains markers inline: consuming src's marker makes its
-  /// dedicated ring eligible from then on.
+  /// Appends a sender's new ring to this endpoint's inbound list. The
+  /// slot is filled under in_mu_ (senders race for the next one), and the
+  /// release-store of in_count_ publishes it — with every earlier slot —
+  /// to this rank's acquire-loads. Filled slots are never rewritten, so
+  /// the owner reads slots below the count without the lock.
+  Channel* publish(std::unique_ptr<Channel> ch) {
+    ch->share_consumer_pad(&pad_);
+    Channel* raw = ch.get();
+    const std::lock_guard<std::mutex> lock(in_mu_);
+    const std::size_t k = in_count_.load(std::memory_order_relaxed);
+    in_[k] = std::move(ch);
+    in_count_.store(k + 1, std::memory_order_release);
+    return raw;
+  }
+
+  /// Pops the next available inbound envelope from the transport rings,
+  /// round-robin over the published ones (staging queue NOT consulted —
+  /// callers handle staged_ first).
   std::optional<ProtoMsg> pop_any() {
-    if (owner_.opt_.mux) {
-      MuxChannel& mux = *owner_.mux_[static_cast<std::size_t>(rank_)];
-      while (std::optional<ProtoMsg> m = mux.try_pop()) {
-        if (m->kind == kPromoteMarker) {
-          promoted_srcs_.push_back(m->src);
-          continue;
-        }
-        return m;
-      }
-      const int np = static_cast<int>(promoted_srcs_.size());
-      for (int i = 0; i < np; ++i) {
-        if (cursor_ >= np) cursor_ = 0;
-        const int src = promoted_srcs_[static_cast<std::size_t>(cursor_)];
-        ++cursor_;
-        Channel* sp = owner_.promoted(src, rank_).load(std::memory_order_acquire);
-        if (std::optional<ProtoMsg> m = sp->try_pop()) return m;
-      }
-      return std::nullopt;
-    }
-    const int n = owner_.nranks();
-    for (int i = 0; i < n; ++i) {
-      const int src = cursor_;
-      cursor_ = cursor_ + 1 == n ? 0 : cursor_ + 1;
-      if (std::optional<ProtoMsg> m = owner_.chan(src, rank_).try_pop()) return m;
+    const std::size_t k = in_count_.load(std::memory_order_acquire);
+    for (std::size_t i = 0; i < k; ++i) {
+      Channel& ch = *in_[cursor_];
+      cursor_ = cursor_ + 1 == k ? 0 : cursor_ + 1;
+      if (std::optional<ProtoMsg> m = ch.try_pop()) return m;
     }
     return std::nullopt;
   }
@@ -284,21 +232,20 @@ class ShmFabric::Ep final : public Endpoint {
   friend class ShmFabric;
   ShmFabric& owner_;
   std::atomic<bool> retired_{false};  // see ShmFabric::retire
-  int cursor_ = 0;  // round-robin fairness over inbound rings
+  std::vector<Channel*> out_;  // [dst]: this rank's ring toward dst, or null
+  // Inbound rings in publication order: in_[0, in_count_) are live, each
+  // filled once by its sender (see publish). Sized n up front so a
+  // sender's append never moves the slots the owner is reading.
+  std::mutex in_mu_;
+  std::vector<std::unique_ptr<Channel>> in_;
+  std::atomic<std::size_t> in_count_{0};
+  std::size_t cursor_ = 0;  // round-robin fairness over inbound rings
   std::deque<ProtoMsg> staged_;  // inbound drained during blocked sends
   util::ParkingLot pad_;  // shared consumer pad of every inbound ring
   std::atomic<std::uint64_t> wake_seq_{0};
   std::atomic<std::uint64_t> messages_{0};
   std::atomic<std::uint64_t> full_parks_{0};
   std::atomic<std::uint64_t> idle_parks_{0};
-
-  // Mux mode only. sent_count_[dst] is written by this rank's thread and
-  // read by stats(); promoted_srcs_ is the receive-side gate — srcs whose
-  // promotion marker this endpoint has consumed (only then may their
-  // dedicated ring be read, preserving FIFO across the switch).
-  std::unique_ptr<std::atomic<std::uint32_t>[]> sent_count_;
-  std::vector<int> promoted_srcs_;
-  std::atomic<std::uint64_t> mux_msgs_{0};
 
   /// A posted receive buffer awaiting a bulk transfer (this endpoint is
   /// the receiver; senders look it up under bulk_mu_).
@@ -319,38 +266,9 @@ ShmFabric::ShmFabric(int nranks, Options opt)
   eps_.reserve(static_cast<std::size_t>(nranks));
   for (int r = 0; r < nranks; ++r)
     eps_.push_back(std::make_unique<Ep>(*this, r, nranks));
-  const auto n = static_cast<std::size_t>(nranks);
-  if (opt_.mux) {
-    // O(N) shared inbound rings + an initially-empty promoted-pair table
-    // instead of the N² dedicated mesh.
-    mux_.reserve(n);
-    for (int dst = 0; dst < nranks; ++dst) {
-      auto mc = std::make_unique<MuxChannel>(opt_.mux_ring_slots);
-      mc->share_consumer_pad(&eps_[static_cast<std::size_t>(dst)]->pad());
-      mux_.push_back(std::move(mc));
-    }
-    promoted_ = std::make_unique<std::atomic<Channel*>[]>(n * n);
-    for (std::size_t i = 0; i < n * n; ++i)
-      promoted_[i].store(nullptr, std::memory_order_relaxed);
-  } else {
-    chans_.reserve(n * n);
-    for (int src = 0; src < nranks; ++src) {
-      for (int dst = 0; dst < nranks; ++dst) {
-        auto ch = std::make_unique<Channel>(opt_.ring_slots);
-        ch->share_consumer_pad(&eps_[static_cast<std::size_t>(dst)]->pad());
-        chans_.push_back(std::move(ch));
-      }
-    }
-  }
 }
 
-ShmFabric::~ShmFabric() {
-  if (promoted_) {
-    const auto n = eps_.size();
-    for (std::size_t i = 0; i < n * n; ++i)
-      delete promoted_[i].load(std::memory_order_relaxed);
-  }
-}
+ShmFabric::~ShmFabric() = default;
 
 Endpoint& ShmFabric::endpoint(int rank) {
   return *eps_.at(static_cast<std::size_t>(rank));
@@ -374,18 +292,7 @@ ShmFabric::Stats ShmFabric::stats() const {
     s.idle_parks += ep->idle_parks_.load(std::memory_order_relaxed);
     s.bulk_transfers += ep->bulk_transfers_.load(std::memory_order_relaxed);
     s.bulk_bytes += ep->bulk_bytes_.load(std::memory_order_relaxed);
-    s.mux_msgs += ep->mux_msgs_.load(std::memory_order_relaxed);
-  }
-  if (promoted_) {
-    const auto n = eps_.size();
-    for (std::size_t src = 0; src < n; ++src) {
-      for (std::size_t dst = 0; dst < n; ++dst) {
-        if (promoted_[src * n + dst].load(std::memory_order_relaxed) != nullptr)
-          ++s.promoted_pairs;
-        else if (eps_[src]->sent_count_[dst].load(std::memory_order_relaxed) > 0)
-          ++s.mux_pairs;
-      }
-    }
+    s.rings += ep->in_count_.load(std::memory_order_relaxed);
   }
   return s;
 }

@@ -6,7 +6,10 @@
 // bounded lock-free SPSC rings (src/util/spsc_ring.h) — one ring per
 // directed rank pair, so per-(src, dst) FIFO order (the MPI non-overtaking
 // substrate every engine assumes) is a structural property, not a locking
-// discipline.
+// discipline. A pair's ring is created by its sender on the first send to
+// that receiver and published once, by appending it to the receiver's
+// inbound list; a pair that never talks costs a null pointer, not a ring,
+// so the fabric scales with the pairs a program uses, not with N².
 //
 // Protocol shape, mirroring the paper's ATM/TCP port rather than the
 // Meiko one: push-mode rendezvous (RTS → CTS through the rings; nothing
@@ -29,7 +32,6 @@
 // of real (not virtual) latency numbers.
 #pragma once
 
-#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -37,7 +39,6 @@
 #include <vector>
 
 #include "src/fabric/fabric.h"
-#include "src/util/spsc_ring.h"
 
 namespace lcmpi::fabric {
 
@@ -52,21 +53,6 @@ class ShmFabric final : public Fabric {
     /// Small enough that an unresponsive receiver exerts backpressure,
     /// large enough that a credit window of eager messages fits.
     std::size_t ring_slots = 1024;
-    /// Multiplexed mode for large N. Default (false): one SPSC ring per
-    /// directed pair — O(N²) rings, the latency fast path. true: each
-    /// receiver owns ONE shared MPMC ring that every sender produces
-    /// into, so an idle pair costs nothing; a pair is promoted to its own
-    /// dedicated SPSC ring once its sender has pushed mux_promote_after
-    /// messages (high-traffic pairs get the fast path back). Promotion
-    /// keeps per-(src,dst) FIFO: the sender's last mux message is a
-    /// marker, and the receiver never reads the promoted ring until the
-    /// marker has been consumed.
-    bool mux = false;
-    /// Shared per-receiver MPMC ring capacity (mux mode).
-    std::size_t mux_ring_slots = 4096;
-    /// Messages a sender pushes into the mux ring before the pair is
-    /// promoted to a dedicated SPSC ring.
-    std::size_t mux_promote_after = 64;
     Options() {
       caps.hw_broadcast = false;  // software tree broadcast
       caps.pull_bulk = false;     // push-mode rendezvous (CTS/RDATA)
@@ -98,28 +84,12 @@ class ShmFabric final : public Fabric {
     std::uint64_t idle_parks = 0;  // receiver parked awaiting traffic
     std::uint64_t bulk_transfers = 0;  // direct posted-buffer handoffs
     std::uint64_t bulk_bytes = 0;      // bytes moved by those handoffs
-    // Mux mode (all zero when Options::mux is false).
-    std::uint64_t mux_msgs = 0;        // messages that rode a shared MPMC ring
-    std::uint64_t promoted_pairs = 0;  // pairs upgraded to a dedicated ring
-    std::uint64_t mux_pairs = 0;       // active pairs still multiplexed
+    std::uint64_t rings = 0;           // pair rings, each made on its first send
   };
   [[nodiscard]] Stats stats() const;
 
  private:
   class Ep;
-  using Channel = util::SpscChannel<ProtoMsg>;
-  using MuxChannel = util::MpmcChannel<ProtoMsg>;
-
-  [[nodiscard]] Channel& chan(int src, int dst) {
-    return *chans_[static_cast<std::size_t>(src) * eps_.size() +
-                   static_cast<std::size_t>(dst)];
-  }
-  /// Mux mode: the promoted-ring slot for a pair (nullptr until the
-  /// sender promotes it; written only by the src thread, read by dst).
-  [[nodiscard]] std::atomic<Channel*>& promoted(int src, int dst) {
-    return promoted_[static_cast<std::size_t>(src) * eps_.size() +
-                     static_cast<std::size_t>(dst)];
-  }
 
   // One-sided windows: every rank's exposed segment, keyed by (rank, win
   // key). Ranks share this process's address space, so an origin resolves
@@ -131,13 +101,7 @@ class ShmFabric final : public Fabric {
 
   Options opt_;
   std::chrono::steady_clock::time_point epoch_;
-  std::vector<std::unique_ptr<Channel>> chans_;  // [src * n + dst]; empty in mux mode
-  // Mux mode: one shared inbound MPMC ring per receiver...
-  std::vector<std::unique_ptr<MuxChannel>> mux_;
-  // ...plus a lazily-filled promoted-pair table [src * n + dst] (raw
-  // pointers: single-writer slots, deleted in the fabric dtor).
-  std::unique_ptr<std::atomic<Channel*>[]> promoted_;
-  std::vector<std::unique_ptr<Ep>> eps_;
+  std::vector<std::unique_ptr<Ep>> eps_;  // each owns its inbound rings
 };
 
 }  // namespace lcmpi::fabric

@@ -363,18 +363,18 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
   }
 
   // Harvest result records with poll() over ALL pipes at once, not
-  // rank-by-rank: connections are lazy, so a rank that dies before ever
-  // dialing anyone is invisible to its peers' fabrics — a blocked
-  // receiver would hang forever. The launcher is the only party that
-  // always notices (the result pipe EOFs recordless); when it does, it
-  // grants the survivors a short grace to surface their own errors, then
-  // SIGKILLs the stragglers and reports the ORIGINAL death — ranks the
-  // launcher reaped are casualties, not causes.
+  // rank-by-rank: connections are lazy, so a rank that fails before ever
+  // dialing anyone is invisible to its peers' fabrics — a receiver
+  // blocked on it would hang forever. The launcher is the only party that
+  // always notices (an error record, or a pipe that EOFs recordless);
+  // when it does, it grants the survivors a short grace to surface their
+  // own errors, then SIGKILLs the stragglers and reports the ORIGINAL
+  // failure — ranks the launcher reaped are casualties, not causes.
   std::vector<Bytes> results(static_cast<std::size_t>(n));
   std::vector<std::uint8_t> statuses(static_cast<std::size_t>(n), kRankOk);
   std::vector<bool> have_record(static_cast<std::size_t>(n), false);
   std::vector<bool> launcher_killed(static_cast<std::size_t>(n), false);
-  int first_hard = -1;  // lowest rank that died recordless on its own
+  int first_failed = -1;  // lowest rank that failed on its own
   int remaining = n;
   bool grace_armed = false;
   std::chrono::steady_clock::time_point grace_deadline{};
@@ -402,7 +402,7 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
     }
     if (rc == 0) {
       // Grace expired with ranks still running: they are wedged on the
-      // dead peer (or each other). Reap them; their pipes EOF below.
+      // failed peer (or each other). Reap them; their pipes EOF below.
       for (int r = 0; r < n; ++r) {
         if (pipes[static_cast<std::size_t>(r)][0] < 0) continue;
         (void)::kill(pids[static_cast<std::size_t>(r)], SIGKILL);
@@ -414,6 +414,7 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
     for (std::size_t i = 0; i < pfds.size(); ++i) {
       if ((pfds[i].revents & (POLLIN | POLLHUP | POLLERR)) == 0) continue;
       const int r = pfd_rank[i];
+      const auto ri = static_cast<std::size_t>(r);
       const int fd = pfds[i].fd;
       // The record may span the pipe's capacity; the child is actively
       // writing it, so finishing the read blockingly is bounded.
@@ -423,17 +424,16 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
           pipe_read_all(fd, &len, sizeof len)) {
         Bytes body(len);
         if (len == 0 || pipe_read_all(fd, body.data(), len)) {
-          have_record[static_cast<std::size_t>(r)] = true;
-          statuses[static_cast<std::size_t>(r)] = status;
-          results[static_cast<std::size_t>(r)] = std::move(body);
+          have_record[ri] = true;
+          statuses[ri] = status;
+          results[ri] = std::move(body);
         }
       }
       ::close(fd);
-      pipes[static_cast<std::size_t>(r)][0] = -1;
+      pipes[ri][0] = -1;
       remaining--;
-      if (!have_record[static_cast<std::size_t>(r)] &&
-          !launcher_killed[static_cast<std::size_t>(r)]) {
-        if (first_hard < 0 || r < first_hard) first_hard = r;
+      if ((!have_record[ri] || statuses[ri] != kRankOk) && !launcher_killed[ri]) {
+        if (first_failed < 0 || r < first_failed) first_failed = r;
         if (!grace_armed && remaining > 0) {
           grace_armed = true;
           grace_deadline =
@@ -456,26 +456,25 @@ std::vector<Bytes> SocketWorld::run_collect_fab(const CollectFabricRankFn& fn) {
                           std::chrono::steady_clock::now() - t0)
                           .count()};
 
-  // Lowest failing rank wins, mirroring ThreadsWorld's rethrow order. A
-  // recordless rank the LAUNCHER killed is a casualty of the grace-kill,
-  // not a cause: name the first rank that died on its own instead.
-  for (int r = 0; r < n; ++r) {
-    const auto i = static_cast<std::size_t>(r);
+  // The lowest rank that failed on its own wins, mirroring ThreadsWorld's
+  // rethrow order, with its own error. A rank the launcher killed is a
+  // casualty of the grace-kill, not a cause, and a kill only ever follows
+  // such a failure.
+  if (first_failed >= 0) {
+    const auto i = static_cast<std::size_t>(first_failed);
+    const std::string who = "rank " + std::to_string(first_failed);
     if (!have_record[i]) {
-      const int culprit = launcher_killed[i] && first_hard >= 0 ? first_hard : r;
-      const int ws = wait_status[static_cast<std::size_t>(culprit)];
+      const int ws = wait_status[i];
       std::string how = WIFSIGNALED(ws)
                             ? "killed by signal " + std::to_string(WTERMSIG(ws))
                             : "exited with status " +
                                   std::to_string(WIFEXITED(ws) ? WEXITSTATUS(ws) : -1);
-      throw fabric::FabricError("rank " + std::to_string(culprit) +
-                                " died without reporting (" + how + ")");
+      throw fabric::FabricError(who + " died without reporting (" + how + ")");
     }
     const std::string what(reinterpret_cast<const char*>(results[i].data()),
                            results[i].size());
     if (statuses[i] == kRankFabricError) throw fabric::FabricError(what);
-    if (statuses[i] != kRankOk)
-      throw std::runtime_error("rank " + std::to_string(r) + " failed: " + what);
+    throw std::runtime_error(who + " failed: " + what);
   }
   return results;
 }

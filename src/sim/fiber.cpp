@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <cstring>
 
+#include "src/util/env.h"
 #include "src/util/status.h"
 
 // Implementation selection. The hand-rolled assembly switch is compiled in
@@ -85,12 +86,10 @@ bool fibers_available() {
 
 std::size_t fiber_stack_bytes_from_env() {
   const char* v = std::getenv("LCMPI_FIBER_STACK_KB");
-  if (v != nullptr) {
-    char* end = nullptr;
-    const long kb = std::strtol(v, &end, 10);
-    if (end != v && kb > 0) return static_cast<std::size_t>(kb) * 1024;
-  }
-  return kDefaultStackBytes;
+  if (v == nullptr) return kDefaultStackBytes;
+  return static_cast<std::size_t>(
+             env::parse_long("LCMPI_FIBER_STACK_KB", v, 64, 1048576)) *
+         1024;
 }
 
 // ------------------------------------------------------------- FiberStack

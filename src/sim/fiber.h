@@ -102,7 +102,7 @@ struct StackPoolStats {
 class StackPool {
  public:
   /// `usable_bytes` is rounded up to whole pages; 0 picks the default
-  /// (LCMPI_FIBER_STACK_KB if set, else 1 MiB).
+  /// (LCMPI_FIBER_STACK_KB if set, else 1 MiB; see below).
   explicit StackPool(std::size_t usable_bytes = 0);
   ~StackPool();
   StackPool(const StackPool&) = delete;
@@ -121,8 +121,9 @@ class StackPool {
   StackPoolStats stats_;
 };
 
-/// Reads LCMPI_FIBER_STACK_KB (usable kilobytes per fiber stack); returns
-/// the default when unset or unparsable.
+/// Reads LCMPI_FIBER_STACK_KB (usable KiB per fiber stack, an integer in
+/// [64, 1048576]); returns the 1 MiB default when unset. A malformed or
+/// out-of-range value throws env::EnvError naming the variable and value.
 [[nodiscard]] std::size_t fiber_stack_bytes_from_env();
 
 /// A stackful coroutine bound to a pooled stack. The entry function runs

@@ -1,6 +1,7 @@
 // Bounded lock-free single-producer/single-consumer ring buffer — the
 // message path of the real-threads shared-memory fabric (one ring per
-// directed rank pair, src/fabric/shm_fabric.h).
+// directed rank pair, made on the pair's first send;
+// src/fabric/shm_fabric.h).
 //
 // The fast path is the classic Lamport queue hardened for modern memory
 // models: head and tail are monotonically increasing counters published
@@ -19,10 +20,8 @@
 // lost wakeup can delay a waiter but never deadlock it. The fabric uses
 // the same pads with one consumer pad shared across all of an endpoint's
 // inbound rings ("anything arrived for me"), which is why the channel's
-// consumer pad is pluggable.
-//
-// The mutex/condvar baseline the benchmarks compare against (MutexChannel,
-// the handoff the ROADMAP item retires) lives at the bottom of this file.
+// consumer pad is pluggable. The mutex/condvar baseline the benchmarks
+// compare the ring against is bench/mutex_channel.h.
 #pragma once
 
 #include <algorithm>
@@ -31,13 +30,10 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
-
-#include "src/util/status.h"
 
 namespace lcmpi::util {
 
@@ -112,9 +108,11 @@ class SpscRing {
 /// before its publish × parker's re-check reordered before its flag
 /// store); the bounded wait below is insurance, not the mechanism.
 ///
-/// parked_ is a COUNTER, not a flag: the MPMC mux ring parks several
-/// producers on one pad at once, and a flag one waiter clears on its way
-/// out would hide the others from unpark().
+/// parked_ is a COUNTER, not a flag, so a pad stays correct with any
+/// number of waiters: a flag one waiter clears on its way out would hide
+/// the others from unpark(). The fabric parks one thread per pad (a
+/// ring's producer, or an endpoint's owner on its shared consumer pad),
+/// and the counter costs no more than a flag there.
 class ParkingLot {
  public:
   /// Blocks until ready() or the deadline. Returns ready()'s final value.
@@ -154,156 +152,6 @@ class ParkingLot {
   std::mutex mu_;
   std::condition_variable cv_;
   std::atomic<int> parked_{0};
-};
-
-/// Bounded lock-free multi-producer/multi-consumer ring (Vyukov's bounded
-/// MPMC queue): each cell carries a sequence number that encodes whose
-/// turn it is — a producer claims a cell by CASing the shared enqueue
-/// position forward, then publishes with a release store of seq=pos+1; a
-/// consumer claims with the dequeue position and recycles the cell with
-/// seq=pos+capacity. Per-producer FIFO holds (one thread's pushes claim
-/// increasing positions), which is exactly the ordering contract the
-/// shared-memory fabric's mux mode needs: MPI only promises
-/// non-overtaking per (src, dst).
-template <typename T>
-class MpmcRing {
- public:
-  explicit MpmcRing(std::size_t min_capacity) {
-    std::size_t cap = 2;
-    while (cap < min_capacity) cap <<= 1;
-    cells_ = std::vector<Cell>(cap);
-    for (std::size_t i = 0; i < cap; ++i)
-      cells_[i].seq.store(i, std::memory_order_relaxed);
-    mask_ = cap - 1;
-  }
-  MpmcRing(const MpmcRing&) = delete;
-  MpmcRing& operator=(const MpmcRing&) = delete;
-
-  [[nodiscard]] std::size_t capacity() const { return mask_ + 1; }
-
-  /// Any thread. False if the ring is full.
-  bool try_push(T&& v) {
-    std::uint64_t pos = enqueue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& c = cells_[pos & mask_];
-      const std::uint64_t seq = c.seq.load(std::memory_order_acquire);
-      const auto dif = static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos);
-      if (dif == 0) {
-        if (enqueue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          c.val = std::move(v);
-          c.seq.store(pos + 1, std::memory_order_release);
-          return true;
-        }
-      } else if (dif < 0) {
-        return false;  // full
-      } else {
-        pos = enqueue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Any thread. Empty if no message is available.
-  std::optional<T> try_pop() {
-    std::uint64_t pos = dequeue_pos_.load(std::memory_order_relaxed);
-    for (;;) {
-      Cell& c = cells_[pos & mask_];
-      const std::uint64_t seq = c.seq.load(std::memory_order_acquire);
-      const auto dif =
-          static_cast<std::int64_t>(seq) - static_cast<std::int64_t>(pos + 1);
-      if (dif == 0) {
-        if (dequeue_pos_.compare_exchange_weak(pos, pos + 1,
-                                               std::memory_order_relaxed)) {
-          std::optional<T> v(std::move(c.val));
-          c.val = T{};  // drop payload-owning state eagerly
-          c.seq.store(pos + mask_ + 1, std::memory_order_release);
-          return v;
-        }
-      } else if (dif < 0) {
-        return std::nullopt;  // empty
-      } else {
-        pos = dequeue_pos_.load(std::memory_order_relaxed);
-      }
-    }
-  }
-
-  /// Racy by nature; exact only when quiescent.
-  [[nodiscard]] std::size_t size_approx() const {
-    const std::uint64_t e = enqueue_pos_.load(std::memory_order_acquire);
-    const std::uint64_t d = dequeue_pos_.load(std::memory_order_acquire);
-    return e > d ? static_cast<std::size_t>(e - d) : 0;
-  }
-  [[nodiscard]] bool empty_approx() const { return size_approx() == 0; }
-  [[nodiscard]] bool full_approx() const { return size_approx() > mask_; }
-
- private:
-  struct Cell {
-    std::atomic<std::uint64_t> seq{0};
-    T val{};
-  };
-
-  alignas(64) std::atomic<std::uint64_t> enqueue_pos_{0};
-  alignas(64) std::atomic<std::uint64_t> dequeue_pos_{0};
-  alignas(64) std::vector<Cell> cells_;
-  std::size_t mask_ = 0;
-};
-
-/// MpmcRing + parking, mirroring SpscChannel's shape. The producer pad is
-/// shared by ALL producers (hence the ParkingLot counter) and the
-/// consumer pad is pluggable, so a receiving endpoint can park on its mux
-/// ring and its promoted SPSC rings with one pad.
-template <typename T>
-class MpmcChannel {
- public:
-  explicit MpmcChannel(std::size_t min_capacity) : ring_(min_capacity) {}
-
-  /// All of this channel's "data available" unparks go to `pad` instead of
-  /// the internal consumer pad. Call before any traffic.
-  void share_consumer_pad(ParkingLot* pad) { consumer_pad_ = pad; }
-
-  bool try_push(T&& v) {
-    if (!ring_.try_push(std::move(v))) return false;
-    consumer_pad_->unpark();
-    return true;
-  }
-
-  std::optional<T> try_pop() {
-    std::optional<T> v = ring_.try_pop();
-    if (v) producer_pad_.unpark();
-    return v;
-  }
-
-  /// Blocks while the ring is full. False if the deadline passed first (v
-  /// is then untouched and still owned by the caller). Unlike the SPSC
-  /// channel, observed space may be claimed by a racing producer before
-  /// the retry — the loop simply parks again.
-  bool push_until(T& v, std::chrono::steady_clock::time_point deadline) {
-    if (try_push(std::move(v))) return true;
-    for (;;) {
-      if (!producer_pad_.park_until(deadline, [this] { return !ring_.full_approx(); }))
-        return false;
-      if (try_push(std::move(v))) return true;
-    }
-  }
-
-  /// Blocks while the ring is empty; nullopt if the deadline passed first.
-  std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
-    for (;;) {
-      if (std::optional<T> v = try_pop()) return v;
-      if (!consumer_pad_->park_until(deadline, [this] { return !ring_.empty_approx(); }))
-        return try_pop();
-    }
-  }
-
-  [[nodiscard]] MpmcRing<T>& ring() { return ring_; }
-  [[nodiscard]] std::size_t capacity() const { return ring_.capacity(); }
-  [[nodiscard]] std::size_t size_approx() const { return ring_.size_approx(); }
-
- private:
-  MpmcRing<T> ring_;
-  ParkingLot producer_pad_;
-  ParkingLot own_consumer_pad_;
-  ParkingLot* consumer_pad_ = &own_consumer_pad_;
 };
 
 /// SpscRing + parking: blocking push/pop with deadlines. The consumer pad
@@ -361,43 +209,6 @@ class SpscChannel {
   ParkingLot producer_pad_;
   ParkingLot own_consumer_pad_;
   ParkingLot* consumer_pad_ = &own_consumer_pad_;
-};
-
-/// The retained mutex/condvar baseline: a bounded deque where every
-/// operation takes the lock and signals. This is the handoff style the
-/// SPSC ring replaces; host_perf gates ring throughput >= 5x this.
-template <typename T>
-class MutexChannel {
- public:
-  explicit MutexChannel(std::size_t capacity) : capacity_(capacity) {}
-
-  bool push_until(T& v, std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_space_.wait_until(lock, deadline, [this] { return q_.size() < capacity_; }))
-      return false;
-    q_.push_back(std::move(v));
-    cv_data_.notify_one();
-    return true;
-  }
-
-  std::optional<T> pop_until(std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!cv_data_.wait_until(lock, deadline, [this] { return !q_.empty(); }))
-      return std::nullopt;
-    std::optional<T> v(std::move(q_.front()));
-    q_.pop_front();
-    cv_space_.notify_one();
-    return v;
-  }
-
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_data_;
-  std::condition_variable cv_space_;
-  std::deque<T> q_;
-  std::size_t capacity_;
 };
 
 }  // namespace lcmpi::util

@@ -5,9 +5,10 @@
 // kernel's event queue alone, so every observable trace and every virtual
 // timestamp must be bit-identical across backends. Only host time differs.
 //
-// Also covers the backend seam itself: environment selection, actor-local
-// storage (Actor::current / set_local), cancellation unwind through
-// blocking primitives, and the fiber stack pool's reuse accounting.
+// Also covers the backend seam itself: environment selection (backend and
+// fiber stack size), actor-local storage (Actor::current / set_local),
+// cancellation unwind through blocking primitives, and the fiber stack
+// pool's reuse accounting.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -20,30 +21,37 @@
 #include "src/sim/kernel.h"
 #include "src/sim/kernel_ref.h"
 #include "src/sim/mailbox.h"
+#include "src/util/env.h"
 
 namespace lcmpi::sim {
 namespace {
 
-/// Forces an actor backend for every Kernel constructed in scope (mirrors
-/// ScopedSchedBackend in golden_determinism_test.cpp).
-class ScopedActorBackend {
+/// Sets (or, for a null value, unsets) an environment variable in scope
+/// and restores it on exit — e.g. LCMPI_ACTORS forces an actor backend
+/// for every Kernel constructed in scope (mirrors ScopedEnv in
+/// golden_determinism_test.cpp).
+class ScopedEnv {
  public:
-  explicit ScopedActorBackend(const char* backend) {
-    const char* old = std::getenv("LCMPI_ACTORS");
+  ScopedEnv(const char* var, const char* value) : var_(var) {
+    const char* old = std::getenv(var);
     if (old != nullptr) saved_ = old;
     had_ = old != nullptr;
-    ::setenv("LCMPI_ACTORS", backend, /*overwrite=*/1);
-  }
-  ~ScopedActorBackend() {
-    if (had_)
-      ::setenv("LCMPI_ACTORS", saved_.c_str(), 1);
+    if (value != nullptr)
+      ::setenv(var, value, /*overwrite=*/1);
     else
-      ::unsetenv("LCMPI_ACTORS");
+      ::unsetenv(var);
   }
-  ScopedActorBackend(const ScopedActorBackend&) = delete;
-  ScopedActorBackend& operator=(const ScopedActorBackend&) = delete;
+  ~ScopedEnv() {
+    if (had_)
+      ::setenv(var_, saved_.c_str(), 1);
+    else
+      ::unsetenv(var_);
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
 
  private:
+  const char* var_;
   std::string saved_;
   bool had_ = false;
 };
@@ -148,13 +156,13 @@ TEST(ActorBackendTest, MixedWorkloadTraceIdenticalAcrossBackends) {
 
 TEST(ActorBackendTest, EnvironmentSelectsBackend) {
   {
-    ScopedActorBackend scope("threads");
+    ScopedEnv scope("LCMPI_ACTORS", "threads");
     Kernel k;
     EXPECT_EQ(k.actor_backend(), ActorBackend::kThreads);
     EXPECT_STREQ(k.actor_backend_name(), "threads");
   }
   if (fibers_available()) {
-    ScopedActorBackend scope("fibers");
+    ScopedEnv scope("LCMPI_ACTORS", "fibers");
     Kernel k;
     EXPECT_EQ(k.actor_backend(), ActorBackend::kFibers);
     EXPECT_STREQ(k.actor_backend_name(), "fibers");
@@ -264,6 +272,28 @@ TEST(ActorBackendTest, FiberStacksAreReusedAcrossActorLifetimes) {
   EXPECT_GE(s.stack_high_water, sizeof(char) * 2048);
   EXPECT_LT(s.stack_high_water, s.stack_bytes);
   EXPECT_GT(s.stack_bytes, 0u);
+}
+
+TEST(ActorBackendTest, FiberStackSizeFromEnvIsParsedStrictly) {
+  // A suffix is junk, not a unit: "1M" must fail naming the variable and
+  // the value, not read as 1 KiB and hand every fiber a one-page stack.
+  {
+    ScopedEnv scope("LCMPI_FIBER_STACK_KB", "1M");
+    try {
+      (void)fiber_stack_bytes_from_env();
+      ADD_FAILURE() << "LCMPI_FIBER_STACK_KB=1M was accepted";
+    } catch (const env::EnvError& e) {
+      EXPECT_NE(std::string(e.what()).find("LCMPI_FIBER_STACK_KB=\"1M\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
+  {
+    ScopedEnv scope("LCMPI_FIBER_STACK_KB", "256");
+    EXPECT_EQ(fiber_stack_bytes_from_env(), std::size_t{256} * 1024);
+  }
+  ScopedEnv unset("LCMPI_FIBER_STACK_KB", nullptr);
+  EXPECT_EQ(fiber_stack_bytes_from_env(), std::size_t{1} << 20);
 }
 
 TEST(ActorBackendTest, NeverStartedFiberActorAllocatesNoStack) {

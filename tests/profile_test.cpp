@@ -117,17 +117,17 @@ TEST(ProfileTest, FabricReportFormatsScaleGauges) {
   ss.epoll_wakeups = 40;
   EXPECT_EQ(fabric_report(ss).rows(), 17u);
 
-  // ShmFabric: live counters from a real mux-mode run.
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  runtime::ThreadsWorld w(2, opt);
+  // ShmFabric: live counters from a real run, including the `rings`
+  // scale gauge (a 2-rank allreduce sends both ways: two rings).
+  runtime::ThreadsWorld w(2);
   w.run([](Comm& c, sim::Actor&) {
     std::int32_t v = c.rank(), sum = 0;
     c.allreduce(&v, &sum, 1, Datatype::int32_type(), Op::kSum);
   });
   const fabric::ShmFabric::Stats ts = w.fabric().stats();
-  EXPECT_GT(ts.mux_msgs, 0u);
-  EXPECT_EQ(fabric_report(ts).rows(), 8u);
+  EXPECT_GT(ts.messages, 0u);
+  EXPECT_EQ(ts.rings, 2u);
+  EXPECT_EQ(fabric_report(ts).rows(), 6u);
 }
 
 TEST(ProfileTest, ReportListsNonEmptyRowsOnly) {

@@ -416,6 +416,28 @@ TEST(SocketWorldTest, PeerDeathSurfacesCleanErrorNotHang) {
   }
 }
 
+TEST(SocketWorldTest, RankErrorReleasesPeersBlockedOnIt) {
+  // Rank 1 fails at once with an error record, having never sent to
+  // rank 0, while rank 0 blocks in a receive from it. Connections are
+  // lazy, so rank 0's fabric has nothing to notice: the launcher must
+  // grace-kill rank 0 and report rank 1's own error, not the kill.
+  runtime::SocketWorld world(2);
+  const auto t0 = std::chrono::steady_clock::now();
+  try {
+    world.run([](mpi::Comm& c, sim::Actor&) {
+      if (c.rank() == 1) throw std::runtime_error("rank 1 gave up");
+      std::int32_t v = 0;
+      c.recv(&v, 1, Datatype::int32_type(), 1, 1);  // never satisfied
+    });
+    FAIL() << "rank 1's error was not reported";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 1 failed: rank 1 gave up"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+}
+
 TEST(SocketWorldTest, CreditReturnsToAFinishedRankAreDropped) {
   // Rank 0 sends 150 eager messages (13 KiB of its 16 KiB credit window,
   // so it never waits for credit) and a closing tag-99 message, then

@@ -10,7 +10,6 @@
 #include <fcntl.h>
 #include <unistd.h>
 
-#include <array>
 #include <chrono>
 #include <cstdint>
 #include <numeric>
@@ -18,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "bench/mutex_channel.h"
 #include "src/util/log.h"
 #include "src/util/spsc_ring.h"
 
@@ -195,69 +195,6 @@ TEST(SpscChannelTest, BlockedPushIsUnparkedByPop) {
   int v = 7;
   EXPECT_TRUE(ch.push_until(v, after_ms(5000)));
   consumer.join();
-}
-
-TEST(MpmcRingTest, SingleThreadFifoAndBoundary) {
-  MpmcRing<int> ring(4);
-  EXPECT_EQ(ring.capacity(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    int v = i;
-    ASSERT_TRUE(ring.try_push(std::move(v)));
-  }
-  int v = 99;
-  EXPECT_FALSE(ring.try_push(std::move(v)));  // full
-  for (int i = 0; i < 4; ++i) EXPECT_EQ(ring.try_pop().value(), i);
-  EXPECT_FALSE(ring.try_pop().has_value());  // empty
-}
-
-TEST(MpmcChannelTest, MultiProducerStressPreservesPerProducerFifo) {
-  // The ShmFabric mux contract: several producer threads into one shared
-  // ring, and each producer's own stream must come out in order (that is
-  // MPI's non-overtaking guarantee when pairs are multiplexed).
-  constexpr int kProducers = 4;
-  constexpr int kPerProducer = 20000;
-  MpmcChannel<std::pair<int, int>> ch(64);  // small: forces contention + parking
-  std::vector<std::thread> producers;
-  for (int p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&ch, p] {
-      for (int i = 0; i < kPerProducer; ++i) {
-        std::pair<int, int> v{p, i};
-        ASSERT_TRUE(ch.push_until(v, after_ms(30000)));
-      }
-    });
-  }
-  std::array<int, kProducers> next{};
-  for (int got = 0; got < kProducers * kPerProducer; ++got) {
-    const auto v = ch.pop_until(after_ms(30000));
-    ASSERT_TRUE(v.has_value());
-    ASSERT_EQ(v->second, next[static_cast<std::size_t>(v->first)]++);
-  }
-  for (auto& t : producers) t.join();
-  EXPECT_FALSE(ch.try_pop().has_value());
-}
-
-TEST(MpmcChannelTest, BlockedProducersAllWakeOnDrain) {
-  // Multiple producers parked on ONE shared pad: the consumer's unpark
-  // must reach all of them (ParkingLot counts parkers; a boolean flag
-  // would hide the second waiter).
-  MpmcChannel<int> ch(2);
-  for (int i = 0; i < 2; ++i) {
-    int v = i;
-    ASSERT_TRUE(ch.try_push(std::move(v)));
-  }
-  std::vector<std::thread> producers;
-  for (int p = 0; p < 3; ++p) {
-    producers.emplace_back([&ch, p] {
-      int v = 100 + p;
-      EXPECT_TRUE(ch.push_until(v, after_ms(30000)));
-    });
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  int drained = 0;
-  while (drained < 5) {
-    if (ch.pop_until(after_ms(30000)).has_value()) ++drained;
-  }
-  for (auto& t : producers) t.join();
 }
 
 TEST(MutexChannelTest, ReferenceChannelSameContract) {

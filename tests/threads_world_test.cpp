@@ -8,6 +8,7 @@
 // concurrency, so CI also runs it under ThreadSanitizer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -126,94 +127,34 @@ TEST(ThreadsWorldTest, DirectBulkHandoffCountsTransfers) {
   EXPECT_EQ(s.bulk_bytes, std::uint64_t{1} << 20);
 }
 
-TEST(ThreadsWorldConformance, MuxModeBattery) {
-  // Multiplexed mode: every sender shares the receiver's MPMC ring until
-  // promotion. Same observable behavior as the dedicated-ring default
-  // across the whole program battery.
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  conform(2, pingpong_program, opt);
-  conform(4, wildcard_gather_program, opt);
-  conform(4, nonblocking_program, opt);
-  conform(4, sendrecv_ring_program, opt);
-  conform(4, collectives_program, opt);
-  conform(2, credit_exhaustion_program, opt);
-  conform(2, mixed_traffic_program, opt);
-  conform(2, truncation_program, opt);
-}
-
-TEST(ThreadsWorldConformance, MuxModePromotionCrossover) {
-  // A threshold low enough that chatty pairs promote mid-program: traffic
-  // must stay FIFO across the mux-ring -> dedicated-ring switch.
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  opt.mux_promote_after = 4;
-  conform(2, pingpong_program, opt);
-  conform(4, nonblocking_program, opt);
-  conform(2, credit_exhaustion_program, opt);
-}
-
-TEST(ThreadsWorldConformance, MuxModeTinyRings) {
-  // Backpressure through a full shared MPMC ring (several producers
-  // parked on one pad) and through tiny promoted rings.
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  opt.mux_ring_slots = 8;
-  opt.ring_slots = 8;
-  opt.mux_promote_after = 4;
-  conform(4, nonblocking_program, opt);
-  conform(2, credit_exhaustion_program, opt);
-}
-
-TEST(ThreadsWorldTest, MuxStatsReportPromotionAndSharedTraffic) {
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  opt.mux_promote_after = 4;
-  runtime::ThreadsWorld world(2, opt);
-  world.run([](mpi::Comm& c, sim::Actor&) {
+TEST(ThreadsWorldTest, RingsAreCreatedOnFirstSend) {
+  // A pair's ring exists once its sender has sent, and never before: a
+  // 2-rank ping-pong builds 0->1 and 1->0 however many round trips it
+  // makes, and a 4-rank r <-> r^1 exchange builds four rings, not the
+  // sixteen of a full mesh.
+  const auto exchange = [](mpi::Comm& c, sim::Actor&) {
     const auto i32 = Datatype::int32_type();
-    for (int i = 0; i < 50; ++i) {
-      std::int32_t v = i;
-      if (c.rank() == 0) {
-        c.send(&v, 1, i32, 1, 1);
-        c.recv(&v, 1, i32, 1, 2);
-      } else {
-        std::int32_t in = 0;
-        c.recv(&in, 1, i32, 0, 1);
-        c.send(&in, 1, i32, 0, 2);
-      }
-    }
-  });
-  const fabric::ShmFabric::Stats s = world.fabric().stats();
-  // 50 round trips >> threshold 4: both directions promoted, and each
-  // direction put exactly `threshold` messages through the shared ring.
-  EXPECT_EQ(s.promoted_pairs, 2u);
-  EXPECT_EQ(s.mux_pairs, 0u);
-  EXPECT_EQ(s.mux_msgs, 8u);
-  EXPECT_GE(s.messages, 100u);
-}
-
-TEST(ThreadsWorldTest, MuxQuietPairsNeverPromote) {
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;  // default threshold 64 >> the 2 messages sent per pair
-  runtime::ThreadsWorld world(4, opt);
-  world.run([](mpi::Comm& c, sim::Actor&) {
-    const auto i32 = Datatype::int32_type();
-    std::int32_t v = c.rank();
-    // One neighbor exchange: every pair stays far below the threshold.
     const int peer = c.rank() ^ 1;
-    if (c.rank() < peer) {
-      c.send(&v, 1, i32, peer, 3);
-      c.recv(&v, 1, i32, peer, 4);
-    } else {
-      c.recv(&v, 1, i32, peer, 3);
-      c.send(&v, 1, i32, peer, 4);
+    for (int i = 0; i < 10; ++i) {
+      std::int32_t v = c.rank() * 100 + i;
+      if (c.rank() < peer) {
+        c.send(&v, 1, i32, peer, 3);
+        c.recv(&v, 1, i32, peer, 4);
+      } else {
+        c.recv(&v, 1, i32, peer, 3);
+        c.send(&v, 1, i32, peer, 4);
+      }
+      if (v != std::min(c.rank(), peer) * 100 + i)
+        throw std::runtime_error("exchange payload mismatch");
     }
-  });
-  const fabric::ShmFabric::Stats s = world.fabric().stats();
-  EXPECT_EQ(s.promoted_pairs, 0u);
-  EXPECT_EQ(s.mux_pairs, 4u);  // 0<->1 and 2<->3, both directions
-  EXPECT_GT(s.mux_msgs, 0u);
+  };
+  runtime::ThreadsWorld pair(2);
+  EXPECT_EQ(pair.fabric().stats().rings, 0u);
+  pair.run(exchange);
+  EXPECT_EQ(pair.fabric().stats().rings, 2u);
+  runtime::ThreadsWorld quad(4);
+  quad.run(exchange);
+  EXPECT_EQ(quad.fabric().stats().rings, 4u);
 }
 
 TEST(ThreadsWorldConformance, WholeBatteryBackToBack) {
@@ -236,12 +177,6 @@ TEST(ThreadsWorldConformance, OneSidedRmaBattery) {
 
 TEST(ThreadsWorldConformance, OneSidedRmaBatteryOddSize) {
   conform(3, rma_battery_program);
-}
-
-TEST(ThreadsWorldConformance, OneSidedRmaBatteryMuxMode) {
-  fabric::ShmFabric::Options opt;
-  opt.mux = true;
-  conform(4, rma_battery_program, opt);
 }
 
 TEST(ThreadsWorldTest, RmaWindowPicksDirectStrategy) {
@@ -268,6 +203,45 @@ TEST(ThreadsWorldTest, RmaWindowPicksDirectStrategy) {
     if (back != 100 + c.rank()) throw std::runtime_error("direct get mismatch");
     win.free();
   });
+}
+
+// ------------------------------------------------------------------ scale
+
+TEST(ThreadsWorldScale, RingN128BuildsOneRingPerNeighbour) {
+  // 128 rank threads, each sending only to its right neighbour: 128
+  // rings, where a mesh built up front would make 128 x 128 = 16,384
+  // before any rank ran. The 64 B payload stays eager, so no CTS or
+  // credit return travels back to the left.
+  constexpr int kN = 128;
+  runtime::ThreadsWorld world(kN);
+  world.run([](mpi::Comm& c, sim::Actor&) {
+    const auto i32 = Datatype::int32_type();
+    const int right = (c.rank() + 1) % c.size();
+    const int left = (c.rank() + c.size() - 1) % c.size();
+    std::int32_t out[16], in[16];
+    for (int i = 0; i < 16; ++i) out[i] = c.rank() * 1000 + i;
+    c.sendrecv(out, 16, i32, right, 9, in, 16, i32, left, 9);
+    for (int i = 0; i < 16; ++i)
+      if (in[i] != left * 1000 + i)
+        throw std::runtime_error("rank " + std::to_string(c.rank()) +
+                                 ": ring payload mismatch");
+  });
+  EXPECT_EQ(world.fabric().stats().rings, static_cast<std::uint64_t>(kN));
+}
+
+TEST(ThreadsWorldScale, ConformanceN64Ring) {
+  conform(64, sendrecv_ring_program);
+}
+
+TEST(ThreadsWorldScale, ConformanceN64Collectives) {
+  conform(64, collectives_program);
+}
+
+TEST(ThreadsWorldScale, ConformanceN32WildcardGather) {
+  // 31 senders race their first sends to rank 0, so 31 rings are
+  // published into one inbound list while its owner is already polling
+  // it; per-stream order must still match LoopWorld's.
+  conform(32, wildcard_gather_program);
 }
 
 // ------------------------------------------------------- threads-only bits
