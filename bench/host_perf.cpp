@@ -864,7 +864,7 @@ SocketWorldResult socket_world_point(bool quick) {
 // burned 2(N-1)+2 fds on EVERY rank before the first byte moved; with lazy
 // dialing only rank 0 (degree N-1) pays O(N) — every other rank holds a
 // constant handful of fds no matter how wide the world is. Per-rank gauges
-// come back over the launcher pipes (run_collect_fab).
+// come back as the ranks' result files (run_collect_fab).
 
 struct SocketScaleResult {
   int ranks = 0;
@@ -925,14 +925,14 @@ SocketScaleResult socket_scale_point() {
 // --- launcher: the exec/env bootstrap path (lcmpirun) ------------------------
 //
 // Everything above that runs real processes forks them, inheriting the
-// parent's address space and a result pipe. The lcmpirun path execs cold
+// parent's address space and rank closure. The lcmpirun path execs cold
 // processes wired purely by LCMPI_* environment — this section proves that
 // path costs nothing at steady state (same ping-pong floor as the forked
 // socket_world) and scales (N ranks spawned/reaped, non-root fds O(log N)).
 // host_perf re-execs ITSELF as the rank binary: when bootstrap::env_launched()
 // the process runs launcher_child() instead of the benchmark suite, and
-// results travel back through an LCMPI_BENCH_OUT file (there are no pipes on
-// this path — that is the point).
+// results travel back through an LCMPI_BENCH_OUT file (an exec'd rank has no
+// closure whose bytes run_collect could return).
 
 struct LauncherResult {
   std::uint64_t rounds = 0;

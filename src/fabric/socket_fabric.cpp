@@ -711,9 +711,8 @@ void SocketFabric::bootstrap(const Rendezvous& rdv) {
   if (nranks_ == 1) return;  // self-sends never touch the fabric
   const bool unix_domain = opt_.domain == Domain::kUnix;
   LCMPI_CHECK(!unix_domain || !rdv.unix_dir.empty(), "kUnix needs a socket directory");
-  LCMPI_CHECK(unix_domain || rdv.port != 0 || rdv.listen_fd >= 0 ||
-                  !rdv.rendezvous_file.empty(),
-              "kInet needs a rendezvous port, file, or a pre-bound listener");
+  LCMPI_CHECK(unix_domain || rdv.port != 0 || !rdv.rendezvous_file.empty(),
+              "kInet needs a rendezvous port or file");
 
   const auto deadline = Clock::now() + opt_.dial_deadline;
   const std::string r0_path = unix_domain ? rdv.unix_dir + "/rendezvous.sock" : "";
@@ -741,13 +740,9 @@ void SocketFabric::bootstrap(const Rendezvous& rdv) {
   // must every other rank's listener from the table.
   std::vector<Hello> hellos(static_cast<std::size_t>(nranks_));
   if (rank_ == 0) {
-    if (rdv.listen_fd >= 0) {
-      listen_fd_ = track_open(rdv.listen_fd);
-    } else {
-      listen_fd_ = track_open(bind_listener(
-          unix_domain ? unix_addr(r0_path) : inet_addr_port(bind_be, rdv.port)));
-      if (unix_domain) listen_path_ = r0_path;
-    }
+    listen_fd_ = track_open(bind_listener(
+        unix_domain ? unix_addr(r0_path) : inet_addr_port(bind_be, rdv.port)));
+    if (unix_domain) listen_path_ = r0_path;
     Hello& me = hellos[0];
     me.rank = 0;
     if (unix_domain) {
@@ -901,14 +896,14 @@ SocketFabric::Conn& SocketFabric::ensure_conn(int peer) {
   // socket for the same pair.
   accept_pending();
   if (c.any_open()) return c;
-  const int fd =
-      dial(peers_[static_cast<std::size_t>(peer)],
-           "rank " + std::to_string(peer), Clock::now() + opt_.dial_deadline);
+  const std::string label = "rank " + std::to_string(peer);
+  const int fd = dial(peers_[static_cast<std::size_t>(peer)], label,
+                      Clock::now() + opt_.dial_deadline);
   Hello h;
   h.rank = rank_;
   h.channel = 0;
   h.intent = kIntentData;
-  write_all(fd, &h, sizeof h, who().c_str());
+  write_all(fd, &h, sizeof h, (who() + ": dial to " + label).c_str());
   set_nonblocking(fd, true);
   c.a.fd = fd;
   epoll_add(fd, FdKind::kCtlA, peer);
@@ -1198,15 +1193,15 @@ SocketFabric::BulkChan& SocketFabric::ensure_bulk(int peer) {
   }
   LCMPI_CHECK(bp.a == nullptr, "bulk primary exists without a tx choice");
 
-  const int fd =
-      dial(peers_[static_cast<std::size_t>(peer)],
-           "rank " + std::to_string(peer) + " (bulk)",
-           Clock::now() + opt_.dial_deadline);
+  const std::string label = "rank " + std::to_string(peer) + " (bulk)";
+  const std::string context = who() + ": dial to " + label;
+  const int fd = dial(peers_[static_cast<std::size_t>(peer)], label,
+                      Clock::now() + opt_.dial_deadline);
   Hello h;
   h.rank = rank_;
   h.channel = 1;
   h.intent = kIntentData;
-  write_all(fd, &h, sizeof h, who().c_str());
+  write_all(fd, &h, sizeof h, context.c_str());
 
   auto b = std::make_unique<BulkChan>();
   b->fd = fd;
@@ -1225,7 +1220,7 @@ SocketFabric::BulkChan& SocketFabric::ensure_bulk(int peer) {
     b->map_rings(mfd, ring, who());
     new (b->tx_ring.ctl) RingCtl{};
     new (b->rx_ring.ctl) RingCtl{};
-    send_fd(fd, mfd, who().c_str());
+    send_fd(fd, mfd, context.c_str());
     ::close(mfd);  // the mapping keeps the memory alive
     stats_.memfd_pairs++;
   }

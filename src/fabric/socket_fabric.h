@@ -42,8 +42,8 @@
 // EOF or ECONNRESET on the peer's TX link *without* a preceding BYE means
 // the peer process died — poll()/send() throw FabricError instead of
 // letting a blocked receive hang forever. A peer that dies before ever
-// connecting is invisible here; the SocketWorld launcher detects that
-// (a result pipe closing recordless) and kills/reports.
+// connecting is invisible here; the launcher detects that (the rank's
+// process exits) and kills/reports (src/runtime/launch_core.h).
 //
 // Bulk data plane: rendezvous payloads leave the framed control socket
 // entirely, on a second lazily-dialed per-pair socket. The plane is fixed
@@ -95,16 +95,13 @@ class SocketFabric final : public Fabric {
 
   /// Where rank 0 listens for the rendezvous. `unix_dir` (kUnix) is a
   /// private directory for this world's socket files; `port` (kInet) is
-  /// rank 0's rendezvous port. `listen_fd` optionally hands rank 0 a
-  /// pre-bound listener inherited from the launcher (how SocketWorld gets
-  /// an ephemeral AF_INET port with no conflict window); -1 makes rank 0
-  /// bind the named address itself. Rank 0's rendezvous listener stays
-  /// open for the whole run — it doubles as the data-phase listener lazy
+  /// rank 0's rendezvous port. Rank 0's rendezvous listener stays open
+  /// for the whole run — it doubles as the data-phase listener lazy
   /// dials land on.
   ///
   /// Multi-host addressing (kInet): with every field below empty the
-  /// fabric behaves as before — listeners bind 127.0.0.1 and peers dial
-  /// loopback (the single-box SocketWorld contract). Setting any of them
+  /// fabric stays on one box — listeners bind 127.0.0.1 and peers dial
+  /// loopback at a fixed `port`. Setting any of them
   /// switches to explicit addressing: listeners bind `bind_host` (empty →
   /// INADDR_ANY), rank 0 is dialed at `root_host`, and each rank
   /// advertises `advertise_host` in its Hello — or, when that is empty,
@@ -116,10 +113,11 @@ class SocketFabric final : public Fabric {
   /// ephemeral port and atomically publishes "a.b.c.d:port\n" at that
   /// path (write-to-temp + rename); other ranks poll the file until it
   /// appears. The file must be on a filesystem all ranks share.
+  /// SocketWorld's AF_INET worlds use this too, with the file in the
+  /// world dir and `bind_host` 127.0.0.1.
   struct Rendezvous {
     std::string unix_dir;
     std::uint16_t port = 0;
-    int listen_fd = -1;
     std::string root_host;        // where rank 0 listens (dial target)
     std::string bind_host;        // local listener bind address
     std::string advertise_host;   // address peers should dial for this rank

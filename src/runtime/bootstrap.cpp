@@ -1,21 +1,16 @@
 #include "src/runtime/bootstrap.h"
 
-#include <dirent.h>
-#include <signal.h>
-#include <sys/stat.h>
 #include <sys/un.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <sstream>
-#include <thread>
 
+#include "src/runtime/launch_core.h"
 #include "src/util/env.h"
 
 namespace lcmpi::runtime::bootstrap {
@@ -51,58 +46,6 @@ std::string shell_quote(const std::string& s) {
   }
   out += "'";
   return out;
-}
-
-std::string make_temp_dir(const char* tag) {
-  const char* bases[] = {"/tmp", std::getenv("TMPDIR"), "."};
-  for (const char* base : bases) {
-    if (base == nullptr) continue;
-    std::string tmpl = std::string(base) + "/" + tag + ".XXXXXX";
-    if (::mkdtemp(tmpl.data()) != nullptr) return tmpl;
-  }
-  fail(std::string("cannot create a temporary directory for ") + tag);
-}
-
-void remove_tree_shallow(const std::string& dir) {
-  // One level deep is all the launcher ever creates (sockets, status
-  // files, the rendezvous file).
-  if (dir.empty()) return;
-  if (DIR* d = ::opendir(dir.c_str()); d != nullptr) {
-    while (const dirent* e = ::readdir(d)) {
-      const std::string name = e->d_name;
-      if (name == "." || name == "..") continue;
-      (void)::unlink((dir + "/" + name).c_str());
-    }
-    ::closedir(d);
-  }
-  (void)::rmdir(dir.c_str());
-}
-
-std::string read_first_line(const std::string& path) {
-  std::ifstream in(path);
-  std::string line;
-  if (in && std::getline(in, line)) return line;
-  return "";
-}
-
-void write_file_atomic(const std::string& path, const std::string& content) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::trunc);
-    if (!out) return;  // best effort: exit code still reports
-    out << content;
-  }
-  (void)::rename(tmp.c_str(), path.c_str());
-}
-
-std::string describe(const RankResult& r) {
-  if (r.term_signal != 0)
-    return "killed by signal " + std::to_string(r.term_signal);
-  if (!r.status.empty() && r.status != "ok") return r.status;
-  if (r.exit_code != 0)
-    return "died without reporting (exited with status " +
-           std::to_string(r.exit_code) + ")";
-  return "ok";
 }
 
 }  // namespace
@@ -271,130 +214,54 @@ std::vector<RankCmd> plan(const LaunchSpec& spec) {
 
 LaunchResult launch(const LaunchSpec& spec_in) {
   LaunchSpec spec = spec_in;
-  // Fill the local defaults a bare "lcmpirun -n 4 ./app" needs: a private
-  // socket dir (kUnix), a private rendezvous file (kInet with no fixed
-  // port), and a status dir so failures carry messages.
-  std::vector<std::string> temp_dirs;
-  if (spec.domain == Domain::kUnix && spec.socket_dir.empty()) {
-    spec.socket_dir = make_temp_dir("lcmpi-sock");
-    temp_dirs.push_back(spec.socket_dir);
-  }
-  if (spec.domain == Domain::kInet && spec.port == 0 &&
-      spec.rendezvous_file.empty()) {
-    const std::string dir = make_temp_dir("lcmpi-rdv");
-    temp_dirs.push_back(dir);
-    spec.rendezvous_file = dir + "/rendezvous";
-  }
-  if (spec.status_dir.empty()) {
-    spec.status_dir = make_temp_dir("lcmpi-status");
-    temp_dirs.push_back(spec.status_dir);
+  // Fill the local defaults a bare "lcmpirun -n 4 ./app" needs from one
+  // private world directory: the socket dir (kUnix), the rendezvous file
+  // (kInet with no fixed port), and the status dir, so failures carry
+  // messages.
+  struct WorldDir {
+    std::string path;
+    ~WorldDir() { remove_world_dir(path); }
+  } tmp;
+  const bool need_socket_dir = spec.domain == Domain::kUnix && spec.socket_dir.empty();
+  const bool need_rendezvous = spec.domain == Domain::kInet && spec.port == 0 &&
+                               spec.rendezvous_file.empty();
+  if (need_socket_dir || need_rendezvous || spec.status_dir.empty()) {
+    tmp.path = make_world_dir();
+    if (need_socket_dir) spec.socket_dir = tmp.path;
+    if (need_rendezvous) spec.rendezvous_file = tmp.path + "/rendezvous";
+    if (spec.status_dir.empty()) spec.status_dir = tmp.path;
   }
   const std::vector<RankCmd> cmds = plan(spec);
 
-  const int n = spec.nranks;
-  std::vector<pid_t> pids(static_cast<std::size_t>(n), -1);
-  for (const RankCmd& rc : cmds) {
-    const pid_t pid = ::fork();
-    if (pid < 0) {
-      // Out of processes: kill what we started and give up.
-      for (pid_t p : pids)
-        if (p > 0) (void)::kill(p, SIGKILL);
-      for (pid_t p : pids)
-        if (p > 0) (void)::waitpid(p, nullptr, 0);
-      for (const std::string& d : temp_dirs) remove_tree_shallow(d);
-      fail("lcmpirun: fork() failed: " + std::string(std::strerror(errno)));
-    }
-    if (pid == 0) {
-      // Child. Local ranks get the env directly; ssh ranks carry it
-      // inside the remote command line.
-      if (!rc.via_ssh)
-        for (const auto& [k, v] : rc.env) ::setenv(k.c_str(), v.c_str(), 1);
-      std::vector<char*> argv;
-      argv.reserve(rc.argv.size() + 1);
-      for (const std::string& a : rc.argv)
-        argv.push_back(const_cast<char*>(a.c_str()));
-      argv.push_back(nullptr);
-      ::execvp(argv[0], argv.data());
-      std::fprintf(stderr, "lcmpirun: exec %s failed for rank %d: %s\n",
-                   argv[0], rc.rank, std::strerror(errno));
-      ::_exit(127);
-    }
-    pids[static_cast<std::size_t>(rc.rank)] = pid;
-  }
-
-  // Reap. After the first failure, survivors get a short grace to report
-  // their own errors (a dead peer leaves them blocked in dials until
-  // their fabric deadline — far longer than anyone should wait), then
-  // stragglers are SIGKILLed. For ssh ranks the kill hits the local ssh
-  // client; the remote side is left to its own fabric deadline.
-  LaunchResult res;
-  res.ranks.resize(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    res.ranks[static_cast<std::size_t>(r)].rank = r;
-    res.ranks[static_cast<std::size_t>(r)].host =
-        cmds[static_cast<std::size_t>(r)].host;
-  }
-  std::vector<bool> reaped(static_cast<std::size_t>(n), false);
-  int remaining = n;
-  bool any_failed = false;
-  bool killed = false;
-  std::chrono::steady_clock::time_point grace_deadline{};
-  while (remaining > 0) {
-    bool progressed = false;
-    for (int r = 0; r < n; ++r) {
-      if (reaped[static_cast<std::size_t>(r)]) continue;
-      int ws = 0;
-      const pid_t got =
-          ::waitpid(pids[static_cast<std::size_t>(r)], &ws, WNOHANG);
-      if (got == 0) continue;
-      RankResult& rr = res.ranks[static_cast<std::size_t>(r)];
-      if (got < 0) {
-        rr.exit_code = -1;  // lost track of the child (should not happen)
-      } else if (WIFSIGNALED(ws)) {
-        rr.term_signal = WTERMSIG(ws);
-      } else {
-        rr.exit_code = WIFEXITED(ws) ? WEXITSTATUS(ws) : -1;
-      }
-      reaped[static_cast<std::size_t>(r)] = true;
-      remaining--;
-      progressed = true;
-      if ((rr.exit_code != 0 || rr.term_signal != 0) && !any_failed) {
-        any_failed = true;
-        grace_deadline =
-            std::chrono::steady_clock::now() + std::chrono::seconds(2);
-      }
-    }
-    if (remaining == 0) break;
-    if (any_failed && !killed &&
-        std::chrono::steady_clock::now() >= grace_deadline) {
-      for (int r = 0; r < n; ++r)
-        if (!reaped[static_cast<std::size_t>(r)])
-          (void)::kill(pids[static_cast<std::size_t>(r)], SIGKILL);
-      killed = true;
-    }
-    if (!progressed)
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-
-  // Status files refine the exit codes into messages (and catch a rank
-  // that reported an error but still exited 0 somehow).
-  for (RankResult& rr : res.ranks) {
-    const std::string path =
-        spec.status_dir + "/rank-" + std::to_string(rr.rank) + ".status";
-    rr.status = read_first_line(path);
-  }
-  for (const RankResult& rr : res.ranks) {
-    if (!rr.ok() && res.first_failed < 0) res.first_failed = rr.rank;
-  }
-  res.ok = res.first_failed < 0;
+  // For ssh ranks the grace-kill hits the local ssh client; the remote
+  // side is left to its own fabric deadline.
+  LaunchResult res = run_world(
+      spec.nranks,
+      [&cmds](int r) {
+        // Local ranks get the env directly; ssh ranks carry it inside
+        // the remote command line.
+        const RankCmd& rc = cmds[static_cast<std::size_t>(r)];
+        if (!rc.via_ssh)
+          for (const auto& [k, v] : rc.env) ::setenv(k.c_str(), v.c_str(), 1);
+        std::vector<char*> argv;
+        argv.reserve(rc.argv.size() + 1);
+        for (const std::string& a : rc.argv)
+          argv.push_back(const_cast<char*>(a.c_str()));
+        argv.push_back(nullptr);
+        ::execvp(argv[0], argv.data());
+        std::fprintf(stderr, "lcmpirun: exec %s failed for rank %d: %s\n",
+                     argv[0], r, std::strerror(errno));
+        return 127;
+      },
+      spec.status_dir);
+  for (RankResult& rr : res.ranks)
+    rr.host = cmds[static_cast<std::size_t>(rr.rank)].host;
   if (!res.ok) {
-    const RankResult& rr =
-        res.ranks[static_cast<std::size_t>(res.first_failed)];
+    const RankResult& rr = res.ranks[static_cast<std::size_t>(res.first_failed)];
     res.error = "rank " + std::to_string(rr.rank) +
                 (rr.host.empty() ? std::string() : " (" + rr.host + ")") +
                 ": " + describe(rr);
   }
-  for (const std::string& d : temp_dirs) remove_tree_shallow(d);
   return res;
 }
 
@@ -402,45 +269,18 @@ LaunchResult launch(const LaunchSpec& spec_in) {
 
 bool env_launched() { return std::getenv("LCMPI_RANK") != nullptr; }
 
-namespace {
-
-/// Best-effort per-rank status report — the exec-based replacement for
-/// SocketWorld's result pipe. Written atomically so the launcher never
-/// reads a torn line.
-void write_status(const std::string& status) {
-  const char* dir = std::getenv("LCMPI_STATUS_DIR");
-  if (dir == nullptr) return;
-  const char* rank = std::getenv("LCMPI_RANK");
-  const std::string path = std::string(dir) + "/rank-" +
-                           (rank != nullptr ? rank : "unknown") + ".status";
-  write_file_atomic(path, status + "\n");
-}
-
-}  // namespace
-
 int rank_main_fab(const EnvRankFn& fn, fabric::SocketFabric::Options opt,
                   mpi::EngineConfig cfg) {
-  std::string status = "ok";
-  int code = 0;
-  try {
-    fabric::SocketFabric fab = fabric::SocketFabric::from_env(opt);
-    const int r = fab.local_rank();
-    run_detached_rank(fab.endpoint(r), r, cfg,
-                      [&fn, &fab](mpi::Comm& world, sim::Actor& self) {
-                        fn(world, self, fab);
-                      });
-  } catch (const fabric::FabricError& e) {
-    code = 13;
-    status = std::string("error: ") + e.what();
-  } catch (const std::exception& e) {
-    code = 1;
-    status = std::string("error: ") + e.what();
-  } catch (...) {
-    code = 1;
-    status = "error: unknown exception";
-  }
-  write_status(status);
-  return code;
+  const char* dir = std::getenv("LCMPI_STATUS_DIR");
+  const char* rank = std::getenv("LCMPI_RANK");
+  return run_rank_process(
+      dir != nullptr ? dir : "", rank != nullptr ? rank : "unknown", [&] {
+        fabric::SocketFabric fab = fabric::SocketFabric::from_env(opt);
+        const int r = fab.local_rank();
+        run_detached_rank(fab.endpoint(r), r, cfg,
+                          [&](mpi::Comm& world, sim::Actor& self) { fn(world, self, fab); });
+        return Bytes{};
+      });
 }
 
 int rank_main(const RankFn& fn, fabric::SocketFabric::Options opt,

@@ -1,23 +1,24 @@
-// Cluster launch without fork-inherited state — the lcmpirun core.
+// Cluster launch without fork-inherited state — the lcmpirun front end.
 //
-// SocketWorld forks every rank on one machine and feeds each child a
-// result pipe; nothing of that survives a hop to a second host. This
-// library is the exec-based replacement: the launcher computes, for each
+// SocketWorld forks every rank of a world on one machine and runs the
+// rank closure in the child; nothing of that survives a hop to a second
+// host. This library execs instead: the launcher computes, for each
 // rank, a command line plus a pure `LCMPI_*` environment (the
 // `SocketFabric::from_env` contract), spawns it locally or through ssh,
-// and collects exit status through wait/ssh exit codes plus optional
-// per-rank status files — no pipes, no inherited fds, no shared address
-// space. The fabric's lazy dialing is untouched: the launcher only
-// decides WHERE processes run and how they find rank 0 (fixed port,
+// and collects exit status through wait/ssh exit codes plus per-rank
+// status files — no pipes, no inherited fds, no shared address space.
+// The fabric's lazy dialing is untouched: the launcher only decides
+// WHERE processes run and how they find rank 0 (fixed port,
 // LCMPI_ROOT_ADDR, or a shared-filesystem rendezvous file).
 //
 // The seam is split deliberately:
 //   plan()   — pure: LaunchSpec -> one RankCmd per rank (argv + env).
 //              What --dry-run prints and what tests pin, ssh included,
 //              without spawning anything.
-//   launch() — executes a plan: fork/exec (or ssh) each rank, reap,
-//              grace-kill stragglers after a failure, report the lowest
-//              failing rank first (the ThreadsWorld/SocketWorld order).
+//   launch() — executes a plan through the launch core SocketWorld
+//              shares (launch_core.h): fork/exec (or ssh) each rank,
+//              reap, grace-kill stragglers after a failure, and blame
+//              the rank whose failure caused the others.
 //   rank_main*() — the child side: build the fabric from env, run the
 //              rank function, write `$LCMPI_STATUS_DIR/rank-R.status`.
 #pragma once
@@ -109,8 +110,9 @@ struct RankResult {
   std::string host;
   int exit_code = 0;    // WEXITSTATUS (ssh forwards the remote status)
   int term_signal = 0;  // nonzero if the (local) process was signalled
-  /// First line of the rank's status file: "ok", "error: ...", or empty
-  /// when the rank never reported (no status dir, or it died first).
+  /// The rank's status file, trailing newline dropped: "ok", "error:
+  /// ...", or empty when the rank never reported (no status dir, or it
+  /// died first).
   std::string status;
   [[nodiscard]] bool ok() const {
     return exit_code == 0 && term_signal == 0 &&
@@ -121,7 +123,10 @@ struct RankResult {
 struct LaunchResult {
   std::vector<RankResult> ranks;  // index = rank
   bool ok = false;
-  int first_failed = -1;          // lowest failing rank, -1 if ok
+  /// The rank blamed for the failure, -1 if ok: never one the launcher
+  /// killed, a lost-peer FabricError only when no rank failed any other
+  /// way, the lowest rank on a tie (launch_core.h).
+  int first_failed = -1;
   std::string error;              // human summary naming that rank
 };
 
@@ -129,9 +134,10 @@ struct LaunchResult {
 /// fails — grants the survivors a grace period to report their own
 /// errors before SIGKILLing stragglers (a dead peer leaves survivors
 /// blocked in dials until their deadline; the launcher should not wait
-/// that long). Never throws for rank failures (they land in the
-/// result); throws std::runtime_error only when spawning itself is
-/// impossible.
+/// that long). Defaults a bare local launch needs (socket dir,
+/// rendezvous file, status dir) live in one private temp dir, removed on
+/// return. Never throws for rank failures (they land in the result);
+/// throws std::runtime_error only when spawning itself is impossible.
 [[nodiscard]] LaunchResult launch(const LaunchSpec& spec);
 
 // ---------------------------------------------------------- child side

@@ -152,9 +152,10 @@ Duration run_threads(int nranks, const RankFn& fn,
                      fabric::ShmFabric::Options opt = {},
                      mpi::EngineConfig engine_cfg = {});
 
-/// Rank function whose returned bytes are shipped back to the launcher —
-/// the only way data leaves a SocketWorld rank, since each rank is a
-/// separate process and writes to captured variables die with the child.
+/// Rank function whose returned bytes are shipped back to the launcher (as
+/// the rank's result file) — the only way data leaves a SocketWorld rank,
+/// since each rank is a separate process and writes to captured
+/// variables die with the child.
 using CollectRankFn = std::function<Bytes(mpi::Comm& world, sim::Actor& self)>;
 
 /// As CollectRankFn, with the rank's live SocketFabric exposed — the hook
@@ -164,19 +165,22 @@ using CollectFabricRankFn = std::function<Bytes(
     mpi::Comm& world, sim::Actor& self, fabric::SocketFabric& fab)>;
 
 /// Real execution across PROCESS boundaries: run() forks one child per
-/// rank; each child builds its SocketFabric attachment (rank-0 rendezvous
-/// over AF_UNIX or AF_INET loopback, lazy per-pair connections dialed on
-/// first send) and runs the unchanged engine + RankFn. The launcher
-/// harvests one result record per rank over a pipe — poll()ing all pipes
-/// at once, because a rank that dies before ever connecting is invisible
-/// to its peers' fabrics: on a recordless pipe EOF the launcher grants
-/// the survivors a short grace to report their own errors, then SIGKILLs
-/// the wedged stragglers and names the original death. Failure
-/// propagation otherwise: a rank that threw reports its message
-/// (FabricError kept as FabricError — the peer-death path), a rank that
-/// died without a record is named by exit status or signal. Like
-/// ThreadsWorld, a SocketWorld runs only once (second run() throws
-/// std::logic_error) and run() returns elapsed wall-clock time.
+/// rank; each child builds its SocketFabric attachment (rank-0
+/// rendezvous over AF_UNIX, or AF_INET loopback through a rendezvous
+/// file; lazy per-pair connections dialed on first send) and runs the
+/// unchanged engine + RankFn. Starting, reaping and blaming go through
+/// the launch core lcmpirun uses (src/runtime/launch_core.h), in one
+/// private world dir (/tmp/lcmpi-sock.XXXXXX) that holds the sockets,
+/// each rank's status file and its result bytes. A rank that dies
+/// before ever connecting is invisible to its peers' fabrics, so after
+/// the first failure the survivors get a short grace to report their
+/// own errors, then the wedged stragglers are SIGKILLed. The error
+/// thrown is the blamed rank's (see launch_core.h for the rule): its
+/// own message (FabricError kept as FabricError — the peer-death path),
+/// or, for a rank that died without a report, a FabricError naming its
+/// exit status or signal. Like ThreadsWorld, a SocketWorld runs only
+/// once (second run() throws std::logic_error) and run() returns
+/// elapsed wall-clock time.
 class SocketWorld {
  public:
   explicit SocketWorld(int nranks, fabric::SocketFabric::Options opt = {},
@@ -200,7 +204,7 @@ class SocketWorld {
   int nranks_;
   fabric::SocketFabric::Options opt_;
   mpi::EngineConfig engine_cfg_;
-  std::string unix_dir_;  // mkdtemp'd socket dir (kUnix), removed in dtor
+  std::string dir_;       // the world dir (sockets, status, results), removed in dtor
   Duration elapsed_{};    // wall-clock of the (single) run
   bool ran_ = false;
 };
@@ -215,7 +219,7 @@ Duration run_ranks(sim::Kernel& kernel, fabric::Fabric& fabric,
                    const mpi::EngineConfig& cfg, const RankFn& fn);
 
 /// Shared child-side body for REAL-execution ranks — a ThreadsWorld
-/// thread or a whole env-bootstrapped process (lcmpirun): binds a
+/// thread or a whole rank process (SocketWorld, lcmpirun): binds a
 /// detached actor to the calling thread, builds the engine over `ep`,
 /// and hands `fn` the world communicator. Exceptions propagate to the
 /// caller, which owns reporting (rethrow order, status files).

@@ -10,13 +10,15 @@
 //      ssh-backend "dry run": nothing is spawned.
 //   3. launch() — real exec'd worlds of lcmpi_env_child: the 4-rank
 //      conformance battery over AF_UNIX and over AF_INET with a
-//      file-published rendezvous, failure propagation (a scripted
+//      file-published rendezvous, failure propagation and blame (a
+//      scripted throw, a rank grace-killed as the casualty of another's
 //      throw, an unexecable binary), and the N=512 same-host scale
 //      smoke whose ranks assert the O(1) non-root fd invariant
 //      in-process.
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <fstream>
 #include <optional>
@@ -435,7 +437,11 @@ TEST_F(BootstrapTest, LaunchPropagatesScriptedRankFailure) {
   spec.cmd = {child_path()};
   const LaunchResult res = launch(spec);
   EXPECT_FALSE(res.ok);
-  EXPECT_GE(res.first_failed, 0);
+  // Rank 0 may lose its dial to rank 1 and fail with a FabricError first;
+  // the blame still falls on the rank that failed on its own.
+  EXPECT_EQ(res.first_failed, 1) << res.error;
+  EXPECT_NE(res.error.find("boom: scripted failure"), std::string::npos)
+      << res.error;
   ASSERT_EQ(res.ranks.size(), 4u);
   // The rank that threw reported its own message through the status
   // file (exit code 1 = generic failure, not FabricError's 13).
@@ -443,6 +449,26 @@ TEST_F(BootstrapTest, LaunchPropagatesScriptedRankFailure) {
   EXPECT_NE(res.ranks[1].status.find("boom: scripted failure"),
             std::string::npos)
       << res.ranks[1].status;
+}
+
+TEST_F(BootstrapTest, LaunchBlamesTheFailedRankNotTheRankItKilled) {
+  // Rank 1 throws at once while rank 0 blocks receiving from it. Lazy
+  // connections leave rank 0 nothing to notice, so the launcher
+  // grace-kills it: rank 0 is a casualty, rank 1 the cause — on both
+  // domains.
+  for (const Domain domain : {Domain::kUnix, Domain::kInet}) {
+    LaunchSpec spec;
+    spec.nranks = 2;
+    spec.domain = domain;
+    spec.extra_env = {"LCMPI_CHILD_MODE=giveup"};
+    spec.cmd = {child_path()};
+    const auto t0 = std::chrono::steady_clock::now();
+    const LaunchResult res = launch(spec);
+    EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+    EXPECT_FALSE(res.ok);
+    EXPECT_EQ(res.first_failed, 1) << res.error;
+    EXPECT_NE(res.error.find("rank 1 gave up"), std::string::npos) << res.error;
+  }
 }
 
 TEST_F(BootstrapTest, LaunchReportsExecFailure) {

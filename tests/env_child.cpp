@@ -22,6 +22,10 @@
 //       rendezvous; everyone else runs the ring. Exercises the
 //       launcher's exit-code/status-file failure propagation without
 //       pipes.
+//   giveup
+//       Rank 1 throws "rank 1 gave up" at once while rank 0 blocks
+//       receiving from it. Rank 0 never connects, so only the launcher
+//       can release it: it grace-kills rank 0 and must blame rank 1.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -200,6 +204,10 @@ int main() {
           if (c.rank() == boom)
             throw std::runtime_error("boom: scripted failure");
           ring_mode(c, fab);
+        } else if (mode == "giveup") {
+          if (c.rank() == 1) throw std::runtime_error("rank 1 gave up");
+          std::int32_t v = 0;
+          if (c.rank() == 0) c.recv(&v, 1, mpi::Datatype::int32_type(), 1, 1);
         } else {
           throw std::runtime_error("unknown LCMPI_CHILD_MODE \"" + mode +
                                    "\"");

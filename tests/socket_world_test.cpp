@@ -2,7 +2,7 @@
 //
 // The shared battery (tests/world_conformance.h) runs on LoopWorld and on
 // one-process-per-rank SocketWorld; logs come back from the forked ranks
-// as serialized bytes over the launcher pipes (run_collect). Anything
+// as serialized bytes in their result files (run_collect). Anything
 // asserted INSIDE a rank must throw rather than use gtest EXPECTs — a
 // failing EXPECT in a forked child cannot fail the parent's test, but an
 // exception becomes a rank-failure record the launcher rethrows.
@@ -436,6 +436,38 @@ TEST(SocketWorldTest, RankErrorReleasesPeersBlockedOnIt) {
         << e.what();
   }
   EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(30));
+}
+
+TEST(SocketWorldTest, BlameFallsOnTheFailedRankNotItsLostPeers) {
+  // Rank 1 throws while the other ranks run a sendrecv ring, then send to
+  // rank 0. Rank 0 may lose its dial to rank 1 and fail with a
+  // FabricError before rank 1's own exit is reaped; ranks 2 and 3 wedge
+  // and are grace-killed. Only rank 1 failed on its own, so every world
+  // must report rank 1's error, whatever order the exits race in.
+  for (int round = 0; round < 5; ++round) {
+    runtime::SocketWorld world(4);
+    try {
+      world.run([](mpi::Comm& c, sim::Actor&) {
+        if (c.rank() == 1) throw std::runtime_error("boom: scripted failure");
+        const auto i32 = Datatype::int32_type();
+        const int n = c.size();
+        const int me = c.rank();
+        std::int32_t token = me;
+        std::int32_t got = -1;
+        c.sendrecv(&token, 1, i32, (me + 1) % n, 7, &got, 1, i32, (me + n - 1) % n, 7);
+        if (me != 0) {
+          c.send(&token, 1, i32, 0, 8);
+        } else {
+          for (int r = 1; r < n; ++r) c.recv(&got, 1, i32, r, 8);
+        }
+      });
+      FAIL() << "rank 1's failure was not reported";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 1 failed: boom: scripted failure"),
+                std::string::npos)
+          << "world " << round << ": " << e.what();
+    }
+  }
 }
 
 TEST(SocketWorldTest, CreditReturnsToAFinishedRankAreDropped) {
