@@ -6,6 +6,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/mman.h>
 #include <sys/socket.h>
@@ -36,9 +37,24 @@ using Clock = std::chrono::steady_clock;
 constexpr std::chrono::milliseconds kBackoffFloor{1};
 constexpr std::chrono::milliseconds kBackoffCap{100};
 
-// wait_activity's epoll_wait slice. It bounds wakeup staleness only;
-// arrivals interrupt it immediately.
+// wait_activity's blocking epoll_wait slice, entered once the spin window
+// below runs out. It bounds wakeup staleness only; arrivals interrupt it
+// immediately.
 constexpr int kPollSliceMs = 100;
+
+// How long wait_activity polls (progress(0), then sched_yield) before it
+// parks: a ping-pong's answer is usually in flight, and a cross-CPU wakeup
+// from epoll_wait costs about half of an AF_UNIX round trip. Swept on the
+// unix perfbench workload (4-vCPU Xeon KVM guest; EXPERIMENTS "Where the
+// socket round trip waits"): the 8 B RTT is flat from 10 us up, and
+// allreduce, bcast and heat2d keep improving up to about 100 us. An idle
+// rank burns at most this per kPollSliceMs park, 0.1% of a CPU; the yield
+// keeps oversubscribed worlds at parity.
+constexpr std::chrono::microseconds kSpinWindow{100};
+
+// Bytes one recv(2) takes: the control plane's receive buffer, and the
+// stream bulk plane's sink for truncated payload bytes.
+constexpr std::size_t kRxScratchBytes = 64 * 1024;
 
 // Max bulk payload bytes moved per pump, each way: bounds how long a huge
 // transfer can hold the progress loop between control-plane polls.
@@ -525,10 +541,15 @@ class SocketFabric::Ep final : public Endpoint {
 
   void wait_activity(sim::Actor&) override {
     if (!owner_.arrivals_.empty()) return;
-    // A bulk transfer that can progress right now is activity: make some
-    // and let the caller re-poll instead of parking under it.
-    if (owner_.pump_bulk_tx_pending()) return;
-    if (owner_.pump_bulk_rx_pending()) return;
+    // Spin before parking, as ShmFabric does: nonblocking progress passes
+    // (which also move any bulk transfer that can progress) until one
+    // moves something or the window runs out. The yield lets a peer that
+    // shares this CPU run instead of being starved by the spin.
+    const auto until = Clock::now() + kSpinWindow;
+    do {
+      if (owner_.progress(0)) return;
+      (void)::sched_yield();
+    } while (Clock::now() < until);
     owner_.stats_.idle_polls++;
     (void)owner_.progress(kPollSliceMs);
   }
@@ -562,7 +583,8 @@ SocketFabric::SocketFabric(int nranks, int rank, const Rendezvous& rdv, Options 
       nranks_(nranks),
       rank_(rank),
       opt_(opt),
-      epoch_(Clock::now()) {
+      epoch_(Clock::now()),
+      rx_scratch_(std::make_unique_for_overwrite<std::byte[]>(kRxScratchBytes)) {
   LCMPI_CHECK(nranks > 0, "SocketFabric needs at least one rank");
   LCMPI_CHECK(rank >= 0 && rank < nranks, "rank out of range");
   peers_.resize(static_cast<std::size_t>(nranks));
@@ -1106,19 +1128,16 @@ bool SocketFabric::pump_link(int peer, Link& l) {
   if (l.fd < 0) return false;
   Conn& c = conns_[static_cast<std::size_t>(peer)];
   bool any = false;
+  std::byte* const buf = rx_scratch_.get();
   for (;;) {
-    constexpr std::size_t kChunk = 64 * 1024;
-    const std::size_t at = l.rx.size();
-    l.rx.resize(at + kChunk);
-    const ssize_t n = ::recv(l.fd, l.rx.data() + at, kChunk, 0);
+    const ssize_t n = ::recv(l.fd, buf, kRxScratchBytes, 0);
     if (n > 0) {
-      l.rx.resize(at + static_cast<std::size_t>(n));
+      l.rx.insert(l.rx.end(), buf, buf + n);
       stats_.bytes_rx += static_cast<std::uint64_t>(n);
       any = true;
-      if (static_cast<std::size_t>(n) < kChunk) break;  // drained for now
+      if (static_cast<std::size_t>(n) < kRxScratchBytes) break;  // drained for now
       continue;
     }
-    l.rx.resize(at);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
     // EOF or hard error: classify. The verdict belongs to the peer's TX
@@ -1464,7 +1483,6 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
       bulk_eof(peer, b, closed.c_str());
     }
   } else {
-    static thread_local std::vector<unsigned char> overflow(64 * 1024);
     std::uint64_t got = 0;
     for (;;) {
       if (got >= budget) break;  // level-triggered epoll re-reports the rest
@@ -1478,9 +1496,11 @@ bool SocketFabric::pump_bulk_rx(int peer, BulkChan* b) {
         want = static_cast<std::size_t>(
             std::min(b->rx_size - b->rx_got, b->rx_cap - b->rx_got));
       } else {
-        dst = overflow.data();
+        // Truncation: consume and drop. pump_link never runs inside this
+        // loop, so its receive buffer is free to serve as the sink.
+        dst = rx_scratch_.get();
         want = static_cast<std::size_t>(std::min<std::uint64_t>(
-            b->rx_size - b->rx_got, overflow.size()));
+            b->rx_size - b->rx_got, kRxScratchBytes));
       }
       want = static_cast<std::size_t>(
           std::min<std::uint64_t>(want, budget - got));

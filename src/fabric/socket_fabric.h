@@ -21,8 +21,11 @@
 //
 // Progress engine: one epoll(7) instance per rank holds the listener and
 // every live socket, level-triggered. poll() does one epoll_wait(0)
-// instead of a recv sweep over all peers; wait_activity parks in
-// epoll_wait with a bounded slice. EPOLLOUT is armed (EPOLL_CTL_MOD)
+// instead of a recv sweep over all peers. wait_activity spins first, as
+// ShmFabric does: nonblocking passes, each followed by sched_yield(), for
+// a short fixed window; only when that runs out does it park in
+// epoll_wait with a bounded slice, since waking a parked rank costs about
+// half of an AF_UNIX round trip. EPOLLOUT is armed (EPOLL_CTL_MOD)
 // only while a sender is actually blocked on a full kernel buffer and
 // disarmed as soon as the write completes — idle sockets contribute
 // nothing to any wakeup.
@@ -161,7 +164,7 @@ class SocketFabric final : public Fabric {
     std::uint64_t bytes_tx = 0;      // framed bytes written
     std::uint64_t bytes_rx = 0;      // framed bytes read
     std::uint64_t send_stalls = 0;   // EAGAIN on write (kernel buffer full)
-    std::uint64_t idle_polls = 0;    // wait_activity entered epoll_wait
+    std::uint64_t idle_polls = 0;    // parked in a blocking epoll_wait after the spin window
     std::uint64_t dial_retries = 0;  // connect attempts beyond the first
     // Scale (the lazy-connection story: all sublinear in N for sparse
     // communication graphs).
@@ -304,6 +307,10 @@ class SocketFabric final : public Fabric {
   std::map<std::pair<int, std::uint64_t>, std::pair<void*, std::size_t>>
       bulk_regs_;
   std::deque<ProtoMsg> arrivals_;  // parsed, FIFO per source
+  /// recv(2) target of every control link, and the sink for truncated
+  /// stream bulk bytes; allocated once, uninitialized. pump_link appends
+  /// only the bytes received to Link::rx.
+  std::unique_ptr<std::byte[]> rx_scratch_;
   Stats stats_;
   std::unique_ptr<Ep> ep_;
 };

@@ -8,6 +8,8 @@
 // exception becomes a rank-failure record the launcher rethrows.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
@@ -366,6 +368,54 @@ TEST(SocketWorldTest, PeerDeathMidRmaEpochNamesThePeer) {
   }
 }
 
+TEST(SocketWorldTest, RmaFramesLargerThanTheReceiveBuffer) {
+  // Each op below is one kRmaPut or kRmaGetReply control frame bigger than
+  // the 64 KiB one recv(2) takes, so the receiver assembles it from several
+  // receives with a partial frame tail carried between them. Every byte is
+  // checked: the put at the target, the get at the origin, and the get
+  // reads a second pattern so it cannot pass on the put's bytes.
+  for (const auto domain :
+       {fabric::SocketFabric::Domain::kUnix, fabric::SocketFabric::Domain::kInet}) {
+    fabric::SocketFabric::Options opt;
+    opt.domain = domain;
+    runtime::SocketWorld world(2, opt);
+    world.run([](mpi::Comm& c, sim::Actor&) {
+      const auto byte = Datatype::byte_type();
+      // Not periodic within 1 MiB, so a shifted or repeated chunk shows.
+      const auto pattern = [](std::size_t n, std::uint64_t seed) {
+        std::vector<unsigned char> v(n);
+        std::uint64_t x = seed;
+        for (unsigned char& b : v) {
+          x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+          b = static_cast<unsigned char>(x >> 56);
+        }
+        return v;
+      };
+      for (const int n : {(64 << 10) - 1, 64 << 10, (64 << 10) + 1, 1 << 20}) {
+        const auto size = static_cast<std::size_t>(n);
+        const std::string at = " at " + std::to_string(n) + " B";
+        std::vector<unsigned char> wbuf(size, 0);
+        mpi::Win win(c, wbuf.data(), n, 1);
+        win.fence();
+        if (c.rank() == 0) win.put(pattern(size, 1).data(), n, byte, 1, 0, n, byte);
+        win.fence();
+        if (c.rank() == 1) {
+          if (wbuf != pattern(size, 1)) throw std::runtime_error("put corrupted" + at);
+          const std::vector<unsigned char> next = pattern(size, 2);
+          std::copy(next.begin(), next.end(), wbuf.begin());  // the window stays put
+        }
+        win.fence();
+        std::vector<unsigned char> got(size, 0);
+        if (c.rank() == 0) win.get(got.data(), n, byte, 1, 0, n, byte);
+        win.fence();
+        if (c.rank() == 0 && got != pattern(size, 2))
+          throw std::runtime_error("get corrupted" + at);
+        win.free();
+      }
+    });
+  }
+}
+
 // ------------------------------------------------------ process-only bits
 
 TEST(SocketWorldTest, ReportsWallClockTime) {
@@ -396,6 +446,41 @@ TEST(SocketWorldTest, RunCollectShipsPerRankBytes) {
     const auto& b = results[static_cast<std::size_t>(r)];
     ASSERT_EQ(b.size(), static_cast<std::size_t>(r + 1)) << "rank " << r;
     for (const std::byte v : b) EXPECT_EQ(v, static_cast<std::byte>(r));
+  }
+}
+
+TEST(SocketWorldTest, BlockingRecvParksPastTheSpinWindow) {
+  // Rank 1 sends 200 ms after the barrier, far past wait_activity's spin
+  // window, so rank 0's receive must stop spinning, park in a blocking
+  // epoll_wait and be woken by the arrival. Most tests are answered
+  // inside the window, so this one pins the park path.
+  for (const auto domain :
+       {fabric::SocketFabric::Domain::kUnix, fabric::SocketFabric::Domain::kInet}) {
+    fabric::SocketFabric::Options opt;
+    opt.domain = domain;
+    runtime::SocketWorld world(2, opt);
+    const std::vector<Bytes> raw = world.run_collect_fab(
+        [](mpi::Comm& c, sim::Actor&, fabric::SocketFabric& fab) {
+          const auto byte = Datatype::byte_type();
+          const std::array<unsigned char, 8> sent{1, 2, 3, 5, 8, 13, 21, 34};
+          c.barrier();
+          Bytes out;
+          if (c.rank() == 1) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(200));
+            c.send(sent.data(), 8, byte, 0, 6);
+            return out;
+          }
+          std::array<unsigned char, 8> got{};
+          const std::uint64_t parks_before = fab.stats().idle_polls;
+          c.recv(got.data(), 8, byte, 1, 6);
+          if (got != sent) throw std::runtime_error("late message corrupted");
+          ByteWriter w(out);
+          w.put(fab.stats().idle_polls - parks_before);  // parks inside this recv
+          return out;
+        });
+    ByteReader rd(raw[0]);
+    EXPECT_GE(rd.get<std::uint64_t>(), 1u)
+        << (domain == fabric::SocketFabric::Domain::kUnix ? "AF_UNIX" : "AF_INET");
   }
 }
 
