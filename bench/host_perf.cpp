@@ -12,23 +12,14 @@
 //   --quick  ~10x fewer iterations (CI smoke mode)
 //   --out    JSON output path (default: BENCH_host.json in the cwd)
 //
-// JSON schema (lcmpi-host-perf-v11):
+// JSON schema (lcmpi-host-perf-v12):
 //   matching[]   — ns/match for bucketed vs linear posted + unexpected
 //                  queues at several steady-state depths, with speedups
 //   event_kernel — callback-event dispatch and timer borrow/cancel/release
-//                  throughput (events per host second), per scheduler backend
-//   scheduler    — timer-heavy TCP-cluster workload (ring traffic over an
-//                  ATM cluster plus per-host connection-table timer wheels):
-//                  events per host second for the calendar queue vs the heap
-//                  reference, with a cross-backend determinism check. The
-//                  process exits nonzero if the calendar queue regresses
-//                  below the heap or the two backends diverge in virtual time.
-//   actors       — switch-heavy trigger ping-pong: context switches per host
-//                  second for the fiber backend vs the thread reference, with
-//                  a cross-backend determinism check, plus an actor-lifecycle
-//                  churn point (fiber stack pool reuse / high-water). The
-//                  process exits nonzero if fibers deliver < 5x the thread
-//                  backend's switches/sec or the backends diverge.
+//                  throughput (events per host second)
+//   actors       — switch-heavy trigger ping-pong: fiber context switches
+//                  per host second, plus an actor-lifecycle churn point
+//                  (fiber stack pool reuse / high-water)
 //   cluster_points[] — whole-cluster runs on the non-default fabrics
 //                  (Ethernet media, RUDP transport): events and virtual ms
 //                  simulated per host second
@@ -115,20 +106,15 @@
 #include "bench/mutex_channel.h"
 #include "src/apps/particles.h"
 #include "src/apps/solver.h"
-#include "src/atmnet/atm.h"
 #include "src/core/matching.h"
 #include "src/core/matching_ref.h"
 #include "src/core/profile.h"
 #include "src/core/win.h"
-#include "src/inet/cluster.h"
-#include "src/inet/tcp.h"
 #include "src/runtime/bootstrap.h"
 #include "src/runtime/world.h"
-#include "src/sim/fiber.h"
 #include "src/sim/kernel.h"
 #include "src/util/bytes.h"
 #include "src/util/env.h"
-#include "src/util/rng.h"
 #include "src/util/spsc_ring.h"
 
 namespace lcmpi::bench {
@@ -221,8 +207,8 @@ MatchingPoint matching_point(int depth, int iters) {
 // --- event kernel ------------------------------------------------------------
 
 /// Callback events scheduled and dispatched in waves (bounded queue).
-double fn_events_per_sec(sim::SchedBackend backend, int total) {
-  sim::Kernel k(backend);
+double fn_events_per_sec(int total) {
+  sim::Kernel k;
   const int wave = 100'000;
   long long done = 0;
   const auto t0 = Clock::now();
@@ -238,8 +224,8 @@ double fn_events_per_sec(sim::SchedBackend backend, int total) {
 
 /// Timer churn: borrow a cancellation cell, cancel, pop the dead event —
 /// the wait_with_timeout fast path where the trigger fires first.
-double timer_churn_per_sec(sim::SchedBackend backend, int total) {
-  sim::Kernel k(backend);
+double timer_churn_per_sec(int total) {
+  sim::Kernel k;
   const int wave = 100'000;
   const auto t0 = Clock::now();
   for (int scheduled = 0; scheduled < total; scheduled += wave) {
@@ -253,137 +239,12 @@ double timer_churn_per_sec(sim::SchedBackend backend, int total) {
   return total / seconds_since(t0);
 }
 
-// --- scheduler: timer-heavy TCP cluster --------------------------------------
-//
-// The workload the calendar queue is sized against (ROADMAP: host_perf only
-// covered the Meiko fabric before this point). An 8-host ATM cluster runs
-// TCP ring traffic — every hop arms delayed-ACK and RTO timers — while each
-// host additionally maintains a connection-table timer wheel: kTableTimers
-// cancellable timers spread over the next ~10 ms of virtual time, all
-// cancelled and re-armed every wheel tick, the way a TCP stack re-arms
-// per-connection retransmit clocks on every ACK. The scheduler therefore
-// sees a large standing timer population with constant cancel/re-arm churn
-// (the heap pays O(log n) per operation on it, the calendar queue O(1)),
-// with real protocol traffic interleaved so pop order still matters.
-//
-// Both backends run the identical deterministic workload; virtual time and
-// event counts must match exactly (checked), and host time gives events/sec.
-
-struct SchedPoint {
-  double host_s = 0;
-  double events_per_sec = 0;
-  std::uint64_t events = 0;
-  std::int64_t virtual_ns = 0;
-  std::int64_t tcp_timer_arms = 0;  // RTO + delayed-ACK arms, all endpoints
-};
-
-struct SchedResult {
-  int hosts = 8;
-  int table_timers = 1024;
-  SchedPoint calendar, heap;
-  double speedup = 0;
-  bool deterministic = false;
-  bool calendar_at_least_heap = false;
-};
-
-SchedPoint tcp_timer_workload(sim::SchedBackend backend, int hosts,
-                              int table_timers, int wheel_ticks, int ring_laps) {
-  SchedPoint out;
-  const auto t0 = Clock::now();
-  sim::Kernel kernel(backend);
-  atmnet::AtmNetwork net{kernel, hosts};
-  inet::InetCluster cluster{net, inet::atm_profile()};
-  std::vector<inet::TcpConnection*> ring;
-  ring.reserve(static_cast<std::size_t>(hosts));
-  for (int h = 0; h < hosts; ++h)
-    ring.push_back(&cluster.tcp_pair(h, (h + 1) % hosts));
-
-  // Per-host connection-table wheel: a self-rescheduling tick that cancels
-  // the previous generation of table timers and arms a fresh one at
-  // deterministic pseudo-random deadlines. Most timers die cancelled (like
-  // RTO clocks on an ACKed connection); the survivors of the last tick fire.
-  struct Wheel {
-    std::vector<sim::EventHandle> timers;
-    Rng rng{0};
-    int ticks_left = 0;
-  };
-  std::vector<Wheel> wheels(static_cast<std::size_t>(hosts));
-  std::function<void(int)> tick = [&](int h) {
-    Wheel& w = wheels[static_cast<std::size_t>(h)];
-    for (sim::EventHandle& t : w.timers) t.cancel();
-    w.timers.clear();
-    for (int i = 0; i < table_timers; ++i) {
-      const Duration d{w.rng.uniform(1'000, 10'000'000)};  // 1 µs .. 10 ms
-      w.timers.push_back(kernel.schedule(d, [] {}));
-    }
-    if (--w.ticks_left > 0)
-      kernel.schedule(microseconds(200), [&tick, h] { tick(h); });
-  };
-  for (int h = 0; h < hosts; ++h) {
-    wheels[static_cast<std::size_t>(h)].rng = Rng(0x9E3779B9u + static_cast<std::uint64_t>(h));
-    wheels[static_cast<std::size_t>(h)].ticks_left = wheel_ticks;
-    kernel.schedule(microseconds(1 + h), [&tick, h] { tick(h); });
-  }
-
-  // Ring traffic: a token circulates `ring_laps` times; every hop crosses a
-  // TCP connection, arming ACK/RTO timers against the standing wheel load.
-  for (int h = 0; h < hosts; ++h) {
-    kernel.spawn("host" + std::to_string(h), [&, h](sim::Actor& self) {
-      inet::TcpEndpoint& rx = ring[static_cast<std::size_t>((h + hosts - 1) % hosts)]->b();
-      inet::TcpEndpoint& tx = ring[static_cast<std::size_t>(h)]->a();
-      Bytes token(256, std::byte{7});
-      if (h == 0) tx.write(self, token);  // inject
-      for (int lap = 0; lap < ring_laps; ++lap) {
-        Bytes in(token.size());
-        rx.read_exact(self, in.data(), in.size());
-        if (h == 0 && lap + 1 == ring_laps) break;  // token retired at origin
-        tx.write(self, in);
-      }
-    });
-  }
-
-  kernel.run();
-  out.host_s = seconds_since(t0);
-  out.events = kernel.events_executed();
-  out.virtual_ns = kernel.now().ns;
-  out.events_per_sec = static_cast<double>(out.events) / out.host_s;
-  for (inet::TcpConnection* c : ring)
-    out.tcp_timer_arms += c->a().rto_timer_arms() + c->a().delayed_ack_timer_arms() +
-                          c->b().rto_timer_arms() + c->b().delayed_ack_timer_arms();
-  return out;
-}
-
-SchedResult scheduler_point(bool quick) {
-  SchedResult r;
-  const int wheel_ticks = quick ? 60 : 300;
-  const int ring_laps = quick ? 60 : 300;
-  // Best of two runs per backend damps host-side noise; the virtual-time
-  // observables are identical across runs by construction (determinism).
-  for (int rep = 0; rep < 2; ++rep) {
-    SchedPoint c = tcp_timer_workload(sim::SchedBackend::kCalendar, r.hosts,
-                                      r.table_timers, wheel_ticks, ring_laps);
-    if (rep == 0 || c.events_per_sec > r.calendar.events_per_sec) r.calendar = c;
-    SchedPoint h = tcp_timer_workload(sim::SchedBackend::kHeap, r.hosts,
-                                      r.table_timers, wheel_ticks, ring_laps);
-    if (rep == 0 || h.events_per_sec > r.heap.events_per_sec) r.heap = h;
-  }
-  r.speedup = r.calendar.events_per_sec / r.heap.events_per_sec;
-  r.deterministic = r.calendar.virtual_ns == r.heap.virtual_ns &&
-                    r.calendar.events == r.heap.events &&
-                    r.calendar.tcp_timer_arms == r.heap.tcp_timer_arms;
-  r.calendar_at_least_heap = r.calendar.events_per_sec >= r.heap.events_per_sec;
-  return r;
-}
-
 // --- actors: switch-heavy trigger ping-pong ----------------------------------
 //
 // Two actors bounce a token through a pair of Triggers; every round is two
 // wakes, each costing one kernel→actor and one actor→kernel transfer plus a
 // wake event — the simulated-MPI blocking pattern with all payload work
-// stripped out, so host time is dominated by the context-switch mechanism
-// itself. The thread reference pays two futex round trips per transfer; the
-// fiber backend a few dozen instructions. Both backends run the identical
-// event schedule (checked: virtual time, switch and event counts).
+// stripped out, so host time is dominated by the fiber switch itself.
 
 struct ActorPoint {
   double host_s = 0;
@@ -394,10 +255,10 @@ struct ActorPoint {
   sim::ActorStats stats;
 };
 
-ActorPoint actor_switch_workload(sim::ActorBackend backend, int rounds) {
+ActorPoint actor_switch_workload(int rounds) {
   ActorPoint out;
   const auto t0 = Clock::now();
-  sim::Kernel kernel(backend);
+  sim::Kernel kernel;
   sim::Trigger ping, pong;
   int turn = 0;
   kernel.spawn("ping", [&](sim::Actor& a) {
@@ -425,14 +286,14 @@ ActorPoint actor_switch_workload(sim::ActorBackend backend, int rounds) {
 }
 
 /// Actor churn: waves of trivial actors that finish on their first resume,
-/// so the fiber backend's stack pool serves every spawn after the first
-/// from its free list. Reported per backend (stack numbers are fiber-only).
-ActorPoint actor_lifecycle_workload(sim::ActorBackend backend, int spawns) {
+/// so the fiber stack pool serves every spawn after the first from its
+/// free list.
+ActorPoint actor_lifecycle_workload(int spawns) {
   ActorPoint out;
   const auto t0 = Clock::now();
   long long done = 0;
   {
-    sim::Kernel kernel(backend);
+    sim::Kernel kernel;
     for (int i = 0; i < spawns; ++i)
       kernel.spawn("a" + std::to_string(i), [&done](sim::Actor& self) {
         self.advance(Duration{0});
@@ -453,37 +314,21 @@ ActorPoint actor_lifecycle_workload(sim::ActorBackend backend, int spawns) {
 struct ActorResult {
   int rounds = 0;
   int spawns = 0;
-  ActorPoint fibers, threads;
-  ActorPoint lifecycle_fibers, lifecycle_threads;
-  double speedup = 0;
-  bool deterministic = false;
-  bool meets_bar = false;   // fibers >= 5x threads switches/sec
-  bool comparable = false;  // both backends actually available
+  ActorPoint switching, lifecycle;
 };
 
 ActorResult actor_point(bool quick) {
   ActorResult r;
   r.rounds = quick ? 20'000 : 100'000;
   r.spawns = quick ? 2'000 : 10'000;
-  r.comparable = sim::fibers_available();
-  // Best of two runs per backend damps host-side noise; virtual-time
-  // observables are identical across runs by construction.
+  // Best of two runs damps host-side noise; virtual-time observables are
+  // identical across runs by construction.
   for (int rep = 0; rep < 2; ++rep) {
-    ActorPoint fb = actor_switch_workload(sim::ActorBackend::kFibers, r.rounds);
-    if (rep == 0 || fb.switches_per_sec > r.fibers.switches_per_sec) r.fibers = fb;
-    ActorPoint th = actor_switch_workload(sim::ActorBackend::kThreads, r.rounds);
-    if (rep == 0 || th.switches_per_sec > r.threads.switches_per_sec) r.threads = th;
+    ActorPoint p = actor_switch_workload(r.rounds);
+    if (rep == 0 || p.switches_per_sec > r.switching.switches_per_sec)
+      r.switching = p;
   }
-  r.lifecycle_fibers =
-      actor_lifecycle_workload(sim::ActorBackend::kFibers, r.spawns);
-  r.lifecycle_threads =
-      actor_lifecycle_workload(sim::ActorBackend::kThreads, r.spawns);
-  r.speedup = r.fibers.switches_per_sec / r.threads.switches_per_sec;
-  r.deterministic = r.fibers.virtual_ns == r.threads.virtual_ns &&
-                    r.fibers.switches == r.threads.switches &&
-                    r.fibers.events == r.threads.events &&
-                    r.lifecycle_fibers.virtual_ns == r.lifecycle_threads.virtual_ns;
-  r.meets_bar = !r.comparable || r.speedup >= 5.0;
+  r.lifecycle = actor_lifecycle_workload(r.spawns);
   return r;
 }
 
@@ -1444,14 +1289,13 @@ EndToEnd solver_end_to_end() {
 // --- output ------------------------------------------------------------------
 
 struct EventKernelNumbers {
-  double fn_eps_calendar = 0, fn_eps_heap = 0;
-  double timer_cps_calendar = 0, timer_cps_heap = 0;
+  double fn_events_per_sec = 0;
+  double timer_churn_per_sec = 0;
 };
 
 void write_json(const std::string& path, bool quick,
                 const std::vector<MatchingPoint>& pts,
-                const EventKernelNumbers& ek, const SchedResult& sched,
-                const ActorResult& actors,
+                const EventKernelNumbers& ek, const ActorResult& actors,
                 const std::vector<ClusterPoint>& cluster,
                 const ThreadsWorldResult& tw, const RmaResult& rma,
                 const SocketWorldResult& sw,
@@ -1463,7 +1307,7 @@ void write_json(const std::string& path, bool quick,
     std::fprintf(stderr, "host_perf: cannot open %s\n", path.c_str());
     std::exit(1);
   }
-  std::fprintf(f, "{\n  \"schema\": \"lcmpi-host-perf-v11\",\n");
+  std::fprintf(f, "{\n  \"schema\": \"lcmpi-host-perf-v12\",\n");
   std::fprintf(f, "  \"quick\": %s,\n", quick ? "true" : "false");
   std::fprintf(f, "  \"matching\": [\n");
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -1480,30 +1324,9 @@ void write_json(const std::string& path, bool quick,
   }
   std::fprintf(f, "  ],\n");
   std::fprintf(f,
-               "  \"event_kernel\": {"
-               "\"fn_events_per_sec_calendar\": %.0f, "
-               "\"fn_events_per_sec_heap\": %.0f, "
-               "\"timer_churn_per_sec_calendar\": %.0f, "
-               "\"timer_churn_per_sec_heap\": %.0f},\n",
-               ek.fn_eps_calendar, ek.fn_eps_heap, ek.timer_cps_calendar,
-               ek.timer_cps_heap);
-  std::fprintf(f,
-               "  \"scheduler\": {\"workload\": \"tcp_timer_wheel\", "
-               "\"hosts\": %d, \"table_timers\": %d,\n"
-               "    \"calendar\": {\"events\": %llu, \"host_s\": %.3f, "
-               "\"events_per_sec\": %.0f},\n"
-               "    \"heap\": {\"events\": %llu, \"host_s\": %.3f, "
-               "\"events_per_sec\": %.0f},\n"
-               "    \"speedup\": %.2f, \"virtual_ns\": %lld, "
-               "\"tcp_timer_arms\": %lld, \"deterministic\": %s},\n",
-               sched.hosts, sched.table_timers,
-               static_cast<unsigned long long>(sched.calendar.events),
-               sched.calendar.host_s, sched.calendar.events_per_sec,
-               static_cast<unsigned long long>(sched.heap.events),
-               sched.heap.host_s, sched.heap.events_per_sec, sched.speedup,
-               static_cast<long long>(sched.calendar.virtual_ns),
-               static_cast<long long>(sched.calendar.tcp_timer_arms),
-               sched.deterministic ? "true" : "false");
+               "  \"event_kernel\": {\"fn_events_per_sec\": %.0f, "
+               "\"timer_churn_per_sec\": %.0f},\n",
+               ek.fn_events_per_sec, ek.timer_churn_per_sec);
   const auto actor_side = [f](const char* name, const ActorPoint& p,
                               const char* trailing) {
     std::fprintf(f,
@@ -1520,16 +1343,9 @@ void write_json(const std::string& path, bool quick,
                "  \"actors\": {\"workload\": \"trigger_pingpong\", "
                "\"rounds\": %d, \"spawns\": %d,\n",
                actors.rounds, actors.spawns);
-  actor_side("fibers", actors.fibers, ",");
-  actor_side("threads", actors.threads, ",");
-  actor_side("lifecycle_fibers", actors.lifecycle_fibers, ",");
-  actor_side("lifecycle_threads", actors.lifecycle_threads, ",");
-  std::fprintf(f,
-               "    \"speedup\": %.2f, \"virtual_ns\": %lld, "
-               "\"deterministic\": %s, \"comparable\": %s},\n",
-               actors.speedup, static_cast<long long>(actors.fibers.virtual_ns),
-               actors.deterministic ? "true" : "false",
-               actors.comparable ? "true" : "false");
+  actor_side("fibers", actors.switching, ",");
+  actor_side("lifecycle_fibers", actors.lifecycle, "");
+  std::fprintf(f, "  },\n");
   std::fprintf(f, "  \"cluster_points\": [\n");
   for (std::size_t i = 0; i < cluster.size(); ++i) {
     const ClusterPoint& p = cluster[i];
@@ -1725,56 +1541,27 @@ int run(int argc, char** argv) {
   std::printf("matching speedup bar (>=5x at depth>=256): %s\n",
               meets_bar ? "PASS" : "FAIL");
 
-  std::printf("\nhost_perf: event kernel (calendar | heap)\n");
+  std::printf("\nhost_perf: event kernel\n");
   EventKernelNumbers ek;
-  ek.fn_eps_calendar = fn_events_per_sec(sim::SchedBackend::kCalendar, event_total);
-  ek.fn_eps_heap = fn_events_per_sec(sim::SchedBackend::kHeap, event_total);
-  ek.timer_cps_calendar =
-      timer_churn_per_sec(sim::SchedBackend::kCalendar, event_total);
-  ek.timer_cps_heap = timer_churn_per_sec(sim::SchedBackend::kHeap, event_total);
-  std::printf("  fn events/sec:    %.0f | %.0f\n", ek.fn_eps_calendar,
-              ek.fn_eps_heap);
-  std::printf("  timer churn/sec:  %.0f | %.0f\n", ek.timer_cps_calendar,
-              ek.timer_cps_heap);
+  // Best of two runs: the first run in a process also pays the page faults
+  // of growing the heap to a 100k-event wave.
+  for (int rep = 0; rep < 2; ++rep) {
+    ek.fn_events_per_sec =
+        std::max(ek.fn_events_per_sec, fn_events_per_sec(event_total));
+    ek.timer_churn_per_sec =
+        std::max(ek.timer_churn_per_sec, timer_churn_per_sec(event_total));
+  }
+  std::printf("  fn events/sec:    %.0f\n", ek.fn_events_per_sec);
+  std::printf("  timer churn/sec:  %.0f\n", ek.timer_churn_per_sec);
 
-  std::printf("\nhost_perf: scheduler (timer-heavy TCP cluster, calendar vs heap)\n");
-  const SchedResult sched = scheduler_point(quick);
-  std::printf("  calendar: %.0f events/sec (%llu events in %.3f s)\n",
-              sched.calendar.events_per_sec,
-              static_cast<unsigned long long>(sched.calendar.events),
-              sched.calendar.host_s);
-  std::printf("  heap:     %.0f events/sec (%llu events in %.3f s)\n",
-              sched.heap.events_per_sec,
-              static_cast<unsigned long long>(sched.heap.events),
-              sched.heap.host_s);
-  std::printf("  speedup: %.2fx, tcp timer arms: %lld, deterministic: %s\n",
-              sched.speedup,
-              static_cast<long long>(sched.calendar.tcp_timer_arms),
-              sched.deterministic ? "yes" : "NO");
-  const bool sched_ok = sched.calendar_at_least_heap && sched.deterministic;
-  std::printf("scheduler bar (calendar >= heap events/sec, identical virtual "
-              "time): %s\n",
-              sched_ok ? "PASS" : "FAIL");
-
-  std::printf("\nhost_perf: actors (switch-heavy trigger ping-pong, fibers vs "
-              "threads)\n");
+  std::printf("\nhost_perf: actors (switch-heavy trigger ping-pong)\n");
   const ActorResult actors = actor_point(quick);
   std::printf("  fibers:  %.0f switches/sec (%llu switches in %.3f s)\n",
-              actors.fibers.switches_per_sec,
-              static_cast<unsigned long long>(actors.fibers.switches),
-              actors.fibers.host_s);
-  std::printf("  threads: %.0f switches/sec (%llu switches in %.3f s)\n",
-              actors.threads.switches_per_sec,
-              static_cast<unsigned long long>(actors.threads.switches),
-              actors.threads.host_s);
-  std::printf("  speedup: %.1fx, deterministic: %s\n", actors.speedup,
-              actors.deterministic ? "yes" : "NO");
-  std::printf("  lifecycle (%d spawns), fiber backend:\n", actors.spawns);
-  mpi::actor_report(actors.lifecycle_fibers.stats).print();
-  const bool actor_ok = actors.meets_bar && actors.deterministic;
-  std::printf("actor bar (fibers >= 5x threads switches/sec, identical "
-              "virtual time): %s\n",
-              actor_ok ? "PASS" : "FAIL");
+              actors.switching.switches_per_sec,
+              static_cast<unsigned long long>(actors.switching.switches),
+              actors.switching.host_s);
+  std::printf("  lifecycle (%d spawns):\n", actors.spawns);
+  mpi::actor_report(actors.lifecycle.stats).print();
 
   std::printf("\nhost_perf: cluster points (non-default fabrics, 8-rank "
               "particle ring)\n");
@@ -1923,10 +1710,10 @@ int run(int argc, char** argv) {
   std::printf("  virtual: %.3f ms, host: %.3f s -> %.1f sim-ms/host-s\n",
               e2e.virtual_ms, e2e.host_s, e2e.sim_ms_per_host_s);
 
-  write_json(out, quick, pts, ek, sched, actors, cluster, tw, rma, sw, scale,
-             lr, bp, coll, e2e);
+  write_json(out, quick, pts, ek, actors, cluster, tw, rma, sw, scale, lr, bp,
+             coll, e2e);
   std::printf("\nwrote %s\n", out.c_str());
-  return meets_bar && sched_ok && actor_ok && tw.meets_bar && rma.meets_bar &&
+  return meets_bar && tw.meets_bar && rma.meets_bar &&
                  sw.meets_bar && scale.fds_bar && lr.meets_bar &&
                  bp.isolation_bar && coll.auto_bar && coll.hw_bar
              ? 0

@@ -20,9 +20,8 @@ using lcmpi::mpi::Op;
 /// Per-rank C API state. Each rank is a sim::Actor, so the state lives in
 /// the actor-local storage slot (Actor::set_local) and is found through
 /// Actor::current() — the classic global-feeling API gets per-rank
-/// semantics under every actor backend. (A plain thread_local would only
-/// work for the thread backend; under fibers every rank shares the kernel
-/// thread, so thread identity no longer distinguishes ranks.)
+/// semantics. (A plain thread_local would not: every rank's fiber shares
+/// the kernel thread, so thread identity does not distinguish ranks.)
 /// A window together with a stable copy of its communicator: Win holds a
 /// Comm&, and the RankState::comms vector may reallocate, so each window
 /// gets its own heap-pinned Comm to reference.

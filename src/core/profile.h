@@ -31,9 +31,9 @@ namespace lcmpi::mpi {
                                     const MatchStats& unexpected);
 
 /// Formats a kernel's actor-execution counters (Kernel::actor_stats) as a
-/// table: context switches, spawns, and — fiber backend only — stack
-/// allocations vs. pool reuses, stack high-water, and the configured stack
-/// size. These are host-side numbers; virtual time never depends on them.
+/// table: context switches, spawns, fiber stack allocations vs. pool
+/// reuses, stack high-water, and the configured stack size. These are
+/// host-side numbers; virtual time never depends on them.
 [[nodiscard]] Table actor_report(const sim::ActorStats& s);
 
 /// Formats one rank's SocketFabric transport counters as a table. The

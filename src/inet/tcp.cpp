@@ -146,7 +146,6 @@ void TcpEndpoint::send_pure_ack() {
 void TcpEndpoint::schedule_delayed_ack() {
   if (delayed_ack_pending_) return;
   delayed_ack_pending_ = true;
-  ++ack_arms_;
   ack_timer_ = cluster_->kernel().schedule(cluster_->profile().delayed_ack, [this] {
     delayed_ack_pending_ = false;
     send_pure_ack();
@@ -156,7 +155,6 @@ void TcpEndpoint::schedule_delayed_ack() {
 void TcpEndpoint::arm_rto() {
   if (rto_armed_) return;
   rto_armed_ = true;
-  ++rto_arms_;
   rto_timer_ = cluster_->kernel().schedule(cluster_->profile().rto, [this] {
     rto_armed_ = false;
     on_rto();

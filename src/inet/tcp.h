@@ -42,13 +42,6 @@ class TcpEndpoint final : public StreamEndpoint {
   [[nodiscard]] std::int64_t retransmits() const { return retransmits_; }
   [[nodiscard]] std::int64_t pure_acks_sent() const { return pure_acks_; }
   [[nodiscard]] std::int64_t cwnd() const { return cwnd_; }
-  /// Cancellable kernel timers armed by this endpoint (RTO re-arms plus
-  /// delayed-ACK arms). Timer-heavy workloads — many connections idling
-  /// with retransmit clocks running — are exactly what the calendar-queue
-  /// scheduler is sized against, and bench/host_perf uses these counters to
-  /// report how much timer pressure its TCP workload actually generated.
-  [[nodiscard]] std::int64_t rto_timer_arms() const { return rto_arms_; }
-  [[nodiscard]] std::int64_t delayed_ack_timer_arms() const { return ack_arms_; }
 
  private:
   friend class TcpConnection;
@@ -102,8 +95,6 @@ class TcpEndpoint final : public StreamEndpoint {
   std::int64_t segs_sent_ = 0;
   std::int64_t retransmits_ = 0;
   std::int64_t pure_acks_ = 0;
-  std::int64_t rto_arms_ = 0;
-  std::int64_t ack_arms_ = 0;
 };
 
 /// A pre-connected TCP connection; `a()` lives on host_a, `b()` on host_b.

@@ -1,5 +1,8 @@
 #include "src/sim/fiber.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdlib>
 #include <cstring>
 
@@ -9,19 +12,9 @@
 // Implementation selection. The hand-rolled assembly switch is compiled in
 // by CMake (fiber_switch_<arch>.S) which also defines LCMPI_FIBER_ASM; any
 // other POSIX target falls back to ucontext over the same pooled stacks.
-#if defined(LCMPI_FIBER_ASM)
-// assembly path: lcmpi_fiber_switch / lcmpi_fiber_trampoline from the .S
-#elif defined(__unix__) || defined(__APPLE__)
+#if !defined(LCMPI_FIBER_ASM)
 #define LCMPI_FIBER_UCONTEXT 1
 #include <ucontext.h>
-#else
-#define LCMPI_FIBER_NONE 1
-#endif
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#include <unistd.h>
-#define LCMPI_FIBER_MMAP 1
 #endif
 
 #if defined(__SANITIZE_ADDRESS__)
@@ -76,14 +69,6 @@ inline void asan_finish(void* fake, const void** bottom_old, std::size_t* size_o
 
 }  // namespace
 
-bool fibers_available() {
-#if defined(LCMPI_FIBER_NONE)
-  return false;
-#else
-  return true;
-#endif
-}
-
 std::size_t fiber_stack_bytes_from_env() {
   const char* v = std::getenv("LCMPI_FIBER_STACK_KB");
   if (v == nullptr) return kDefaultStackBytes;
@@ -95,7 +80,6 @@ std::size_t fiber_stack_bytes_from_env() {
 // ------------------------------------------------------------- FiberStack
 
 FiberStack::FiberStack(std::size_t usable_bytes) {
-#if defined(LCMPI_FIBER_MMAP)
   const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
   usable_ = (usable_bytes + page - 1) / page * page;
   map_bytes_ = usable_ + page;  // one guard page below the usable region
@@ -106,21 +90,10 @@ FiberStack::FiberStack(std::size_t usable_bytes) {
   LCMPI_CHECK(::mprotect(map_, page, PROT_NONE) == 0,
               "fiber stack guard-page mprotect failed");
   base_ = map_ + page;
-  mmapped_ = true;
-#else
-  usable_ = (usable_bytes + 63) / 64 * 64;
-  map_bytes_ = usable_;
-  map_ = new std::byte[map_bytes_]();  // zero-initialized, like fresh pages
-  base_ = map_;
-#endif
 }
 
 FiberStack::~FiberStack() {
-#if defined(LCMPI_FIBER_MMAP)
   if (map_ != nullptr) ::munmap(map_, map_bytes_);
-#else
-  delete[] map_;
-#endif
 }
 
 std::size_t FiberStack::touched() const {
@@ -140,7 +113,7 @@ void FiberStack::reset(std::size_t touched_bytes) {
 #if defined(__linux__)
   // A deeply-used stack is cheaper to hand back to the kernel wholesale:
   // MADV_DONTNEED drops the pages and the next touch reads fresh zeros.
-  if (mmapped_ && touched_bytes >= (std::size_t{512} << 10)) {
+  if (touched_bytes >= (std::size_t{512} << 10)) {
     if (::madvise(base_, usable_, MADV_DONTNEED) == 0) return;
   }
 #endif
@@ -196,7 +169,6 @@ void ucontext_entry(unsigned int hi, unsigned int lo) {
 
 Fiber::Fiber(StackPool& pool, Entry entry, void* arg)
     : pool_(pool), entry_(entry), arg_(arg) {
-  LCMPI_CHECK(fibers_available(), "no fiber implementation on this target");
   stack_ = pool_.acquire();
 #if defined(LCMPI_FIBER_ASM)
   // Seed the stack with the frame lcmpi_fiber_switch restores from, so the

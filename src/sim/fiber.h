@@ -1,5 +1,4 @@
-// Stackful user-space fibers — the execution substrate of the kernel's
-// production actor backend.
+// Stackful user-space fibers — how the simulation kernel runs its actors.
 //
 // A Fiber is a cooperative coroutine with its own call stack, switched
 // entirely in user space: saving and restoring the callee-saved register
@@ -7,8 +6,8 @@
 // instructions (no syscall, no futex, no scheduler), which is what lets a
 // simulated MPI call cross the kernel↔actor boundary in tens of
 // nanoseconds instead of the microseconds a mutex/condvar thread handoff
-// costs (that handoff survives as ThreadActorContext in kernel_ref.h, the
-// executable reference the fiber backend is tested against).
+// costs (that handoff survives only in the tests, as the differential
+// oracle tests/thread_actor_context.h).
 //
 // Switch mechanics, per target:
 //  * x86-64 / AArch64 (GNU toolchains): hand-rolled assembly
@@ -52,10 +51,6 @@ extern "C" void lcmpi_fiber_entry(void* fiber);
 
 namespace lcmpi::sim {
 
-/// Whether this build has a stackful-fiber implementation (always true on
-/// POSIX; the kernel falls back to the thread backend when false).
-[[nodiscard]] bool fibers_available();
-
 /// One fiber stack: a mmap'd region with a guard page below the usable
 /// range. Usable memory is zero on first use; the pool keeps it zeroed
 /// between borrows so high-water scans stay meaningful.
@@ -80,11 +75,10 @@ class FiberStack {
   void reset(std::size_t touched_bytes);
 
  private:
-  std::byte* map_ = nullptr;    // mmap base (guard page) or heap fallback
+  std::byte* map_ = nullptr;    // mmap base (the guard page)
   std::size_t map_bytes_ = 0;   // total mapped (guard + usable)
   std::byte* base_ = nullptr;   // lowest usable address
   std::size_t usable_ = 0;
-  bool mmapped_ = false;
 };
 
 /// Host-side counters for a pool (folded into Kernel::actor_stats).

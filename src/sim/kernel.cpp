@@ -1,16 +1,21 @@
 #include "src/sim/kernel.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
-#include <limits>
 
 #include "src/sim/fiber.h"
-#include "src/sim/kernel_ref.h"
 
 namespace lcmpi::sim {
 
 // ---------------------------------------------------------------- Trigger
+
+Trigger::~Trigger() {
+  for (Actor* a : waiters_) a->waiting_on_ = nullptr;
+}
+
+void Trigger::wake(Actor* a) {
+  a->waiting_on_ = nullptr;
+  a->kernel().wake(a, a->wake_epoch_, /*by_trigger=*/true);
+}
 
 void Trigger::notify_all() {
   if (waiters_.empty()) return;
@@ -22,7 +27,7 @@ void Trigger::notify_all() {
     // already owns the earlier registrations.
     std::vector<Actor*> local;
     local.swap(waiters_);
-    for (Actor* a : local) a->kernel().wake(a, a->wake_epoch_, /*by_trigger=*/true);
+    for (Actor* a : local) wake(a);
     return;
   }
   // Drain into the reusable scratch buffer first: a woken actor only gets a
@@ -31,7 +36,7 @@ void Trigger::notify_all() {
   // code synchronously. Swapping (not copying) preserves both capacities.
   draining_ = true;
   scratch_.swap(waiters_);
-  for (Actor* a : scratch_) a->kernel().wake(a, a->wake_epoch_, /*by_trigger=*/true);
+  for (Actor* a : scratch_) wake(a);
   scratch_.clear();
   draining_ = false;
   // Shrink policy: a burst (e.g. a barrier over a large world) should not
@@ -43,7 +48,7 @@ void Trigger::notify_one() {
   if (waiters_.empty()) return;
   Actor* a = waiters_.front();
   waiters_.erase(waiters_.begin());
-  a->kernel().wake(a, a->wake_epoch_, /*by_trigger=*/true);
+  wake(a);
 }
 
 // ------------------------------------------------------------ EventHandle
@@ -54,157 +59,14 @@ void EventHandle::cancel() {
   alive_.reset();
 }
 
-// ---------------------------------------------------------- CalendarQueue
+// ------------------------------------------------------------ fiber actors
 
 namespace {
 
-constexpr std::size_t kMinBuckets = 16;
-constexpr std::size_t kMaxBuckets = std::size_t{1} << 22;
-// Days are clamped so window-boundary arithmetic (base_day_ + bucket count)
-// can never overflow even for TimePoint::max()-dated events; clamping is
-// monotone in time, so bucket separation still orders distinct days.
-constexpr std::int64_t kMaxDay = std::numeric_limits<std::int64_t>::max() / 4;
-
-std::size_t next_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
-}  // namespace
-
-CalendarQueue::CalendarQueue() : buckets_(kMinBuckets) {}
-
-std::int64_t CalendarQueue::day_of(TimePoint t) const {
-  const std::int64_t d = t.ns / width_;
-  return d < kMaxDay ? d : kMaxDay;
-}
-
-void CalendarQueue::place(Event&& ev) {
-  const std::int64_t day = day_of(ev.time);
-  const auto count = static_cast<std::int64_t>(buckets_.size());
-  if (day < base_day_ + count) {
-    // In-window. Pushes behind the cursor are legal (the cursor may have
-    // skipped the event's empty bucket during a peek; the clock has not
-    // passed it): rewind — the day→bucket mapping is fixed between
-    // rebuilds, so no events need to move.
-    auto& b = buckets_[static_cast<std::size_t>(day) & (buckets_.size() - 1)];
-    b.push_back(std::move(ev));
-    std::push_heap(b.begin(), b.end(), EventAfter{});
-    ++in_window_;
-    if (day < cur_day_) cur_day_ = day;
-  } else {
-    overflow_.push_back(std::move(ev));
-  }
-}
-
-void CalendarQueue::rebuild() {
-  ++rebuilds_;
-  // Collect everything still pending.
-  std::vector<Event> all;
-  all.reserve(size_);
-  for (auto& b : buckets_)
-    for (Event& ev : b) all.push_back(std::move(ev));
-  for (Event& ev : overflow_) all.push_back(std::move(ev));
-  for (auto& b : buckets_) b.clear();
-  overflow_.clear();
-  in_window_ = 0;
-
-  const std::size_t target = next_pow2(std::clamp(size_, kMinBuckets, kMaxBuckets));
-  if (buckets_.size() != target) {
-    buckets_.assign(target, {});
-  }
-  const auto count = static_cast<std::int64_t>(buckets_.size());
-
-  // The window is anchored at the clock floor (time of the last pop), not
-  // at the earliest pending event: the floor lower-bounds every legal
-  // future push, so a push can never land before the window and corrupt
-  // the day→bucket mapping (the pending minimum does not have that
-  // property — the kernel's clock may lag it, and an actor woken at the
-  // current time may schedule in between).
-  //
-  // Width estimate: twice the average gap from the floor to the 75th
-  // percentile of the pending population. The top quartile is excluded so
-  // far-future outliers (watchdogs, idle retransmit timers) cannot inflate
-  // the width and collapse the near-term traffic into one bucket; outliers
-  // land in the overflow rung instead, where they cost nothing until due.
-  if (!all.empty()) {
-    std::vector<std::int64_t> times;
-    times.reserve(all.size());
-    for (const Event& ev : all) times.push_back(ev.time.ns);
-    const std::size_t q3 = (times.size() * 3) / 4;
-    std::nth_element(times.begin(),
-                     times.begin() + static_cast<std::ptrdiff_t>(q3), times.end());
-    const std::int64_t t_q3 = times[q3];
-    const std::int64_t t_min = *std::min_element(
-        times.begin(), times.begin() + static_cast<std::ptrdiff_t>(q3) + 1);
-    const auto denom = static_cast<std::int64_t>(std::max<std::size_t>((times.size() * 3) / 4, 1));
-    width_ = std::max<std::int64_t>(1, 2 * (t_q3 - floor_ns_) / denom);
-    base_day_ = floor_ns_ / width_;
-    // Guarantee the earliest pending event fits the window, whatever the
-    // estimate did (huge idle gap, tiny bucket array): otherwise the
-    // peek → rebuild cycle could spin without ever exposing an event.
-    if (day_of(TimePoint{t_min}) >= base_day_ + count) {
-      width_ = (t_min - floor_ns_) / (count / 2) + 1;
-      base_day_ = floor_ns_ / width_;
-    }
-    if (base_day_ > kMaxDay) base_day_ = kMaxDay;
-  } else {
-    width_ = std::max<std::int64_t>(width_, 1);
-    base_day_ = floor_ns_ / width_;
-    if (base_day_ > kMaxDay) base_day_ = kMaxDay;
-  }
-  cur_day_ = base_day_;
-
-  for (Event& ev : all) place(std::move(ev));
-}
-
-void CalendarQueue::push(Event&& ev) {
-  ++size_;
-  if (size_ > 2 * buckets_.size() && buckets_.size() < kMaxBuckets) {
-    --size_;  // rebuild sizes the array from size_; count this event after
-    rebuild();
-    ++size_;
-  }
-  place(std::move(ev));
-}
-
-const Event* CalendarQueue::peek() {
-  if (size_ == 0) return nullptr;
-  for (;;) {
-    const auto count = static_cast<std::int64_t>(buckets_.size());
-    while (in_window_ > 0 && cur_day_ < base_day_ + count) {
-      const auto& b = buckets_[static_cast<std::size_t>(cur_day_) & (buckets_.size() - 1)];
-      if (!b.empty()) return &b.front();
-      ++cur_day_;
-    }
-    // Window drained; everything pending sits in the overflow rung.
-    rebuild();
-  }
-}
-
-Event CalendarQueue::pop() {
-  const Event* top = peek();
-  LCMPI_CHECK(top != nullptr, "pop from empty calendar queue");
-  auto& b = buckets_[static_cast<std::size_t>(cur_day_) & (buckets_.size() - 1)];
-  std::pop_heap(b.begin(), b.end(), EventAfter{});
-  Event ev = std::move(b.back());
-  b.pop_back();
-  floor_ns_ = ev.time.ns;  // pops are time-ordered: the floor is monotone
-  --in_window_;
-  --size_;
-  if (size_ < buckets_.size() / 8 && buckets_.size() > kMinBuckets) rebuild();
-  return ev;
-}
-
-// ------------------------------------------------- actor execution backend
-
-namespace {
-
-/// Production backend: each actor body runs on a pooled fiber stack. The
-/// Fiber is created lazily on the first resume (the kStart event), so an
-/// actor cancelled before it ever ran never allocates a stack — that is
-/// what discard_if_unstarted() exploits during teardown.
+/// Each actor body runs on a pooled fiber stack. The Fiber is created
+/// lazily on the first resume (the kStart event), so an actor cancelled
+/// before it ever ran never allocates a stack — that is what
+/// discard_if_unstarted() exploits during teardown.
 class FiberActorContext final : public ActorContext {
  public:
   FiberActorContext(StackPool& pool, std::function<void()> run)
@@ -220,8 +82,6 @@ class FiberActorContext final : public ActorContext {
 
   bool discard_if_unstarted() override { return fiber_ == nullptr; }
 
-  [[nodiscard]] const char* name() const override { return "fibers"; }
-
  private:
   static void entry(void* self) {
     static_cast<FiberActorContext*>(self)->run_();
@@ -234,22 +94,14 @@ class FiberActorContext final : public ActorContext {
 
 }  // namespace
 
-ActorBackend actor_backend_from_env() {
-  if (!fibers_available()) return ActorBackend::kThreads;
-  const char* v = std::getenv("LCMPI_ACTORS");
-  if (v != nullptr && std::strcmp(v, "threads") == 0) return ActorBackend::kThreads;
-  return ActorBackend::kFibers;
-}
-
 // ----------------------------------------------------------------- Actor
 
 namespace {
 // The actor the calling code is executing inside, nullptr on the kernel
-// side. thread_local so the two backends compose: under fibers every actor
-// shares the kernel thread and resume_from_kernel() maintains the slot
-// across switches; under threads each actor body pins its own thread's
-// slot once (run_body) and the kernel thread's copy is simply unused by
-// actor code.
+// side. Fibers share the kernel thread, and resume_from_kernel() maintains
+// the slot across switches. thread_local so that detached actors on real
+// threads, and a test context that runs an actor body on a thread of its
+// own (run_body pins that thread's slot once), each see their own.
 thread_local Actor* g_current_actor = nullptr;
 }  // namespace
 
@@ -276,7 +128,7 @@ TimePoint Actor::now() const {
 }
 
 void Actor::run_body() {
-  g_current_actor = this;  // pins the slot for thread-backend bodies
+  g_current_actor = this;  // pins the slot for bodies on their own thread
   if (!kernel_->cancelling_) {
     try {
       body_(*this);
@@ -289,9 +141,22 @@ void Actor::run_body() {
   finished_ = true;
 }
 
+void Actor::throw_if_cancelling() {
+  if (!kernel_->cancelling_) return;
+  leave_trigger();
+  throw ActorCancelled{};
+}
+
+void Actor::leave_trigger() {
+  if (waiting_on_ == nullptr) return;
+  auto& ws = waiting_on_->waiters_;
+  ws.erase(std::remove(ws.begin(), ws.end(), this), ws.end());
+  waiting_on_ = nullptr;
+}
+
 void Actor::yield_to_kernel() {
   ctx_->yield();
-  if (kernel_->cancelling_) throw ActorCancelled{};
+  throw_if_cancelling();
 }
 
 void Actor::resume_from_kernel() {
@@ -317,6 +182,7 @@ void Actor::advance(Duration d) {
 
 void Actor::wait_until(TimePoint t) {
   if (kernel_ == nullptr) return;  // detached: host work takes real time
+  throw_if_cancelling();
   if (t <= now()) return;
   const std::uint64_t epoch = wake_epoch_ + 1;  // epoch block() will assign
   kernel_->schedule_wake_at(t, this, epoch, /*by_trigger=*/false,
@@ -326,55 +192,35 @@ void Actor::wait_until(TimePoint t) {
 
 void Actor::wait(Trigger& trigger) {
   LCMPI_CHECK(kernel_ != nullptr, "detached actor cannot wait on a sim Trigger");
+  throw_if_cancelling();
   trigger.waiters_.push_back(this);
+  waiting_on_ = &trigger;
   block();
 }
 
 bool Actor::wait_with_timeout(Trigger& trigger, Duration timeout) {
   LCMPI_CHECK(kernel_ != nullptr, "detached actor cannot wait on a sim Trigger");
+  throw_if_cancelling();
   trigger.waiters_.push_back(this);
+  waiting_on_ = &trigger;
   const std::uint64_t epoch = wake_epoch_ + 1;
   EventHandle timer = kernel_->schedule_wake_at(
       kernel_->now() + timeout, this, epoch, /*by_trigger=*/false, /*with_cell=*/true);
   woke_by_trigger_ = false;
   block();
   timer.cancel();
-  if (!woke_by_trigger_) {
-    // Timed out: remove our stale registration from the trigger.
-    auto& ws = trigger.waiters_;
-    ws.erase(std::remove(ws.begin(), ws.end(), this), ws.end());
-  }
+  if (!woke_by_trigger_) leave_trigger();  // timed out: drop the registration
   return woke_by_trigger_;
 }
 
 // ----------------------------------------------------------------- Kernel
 
-SchedBackend sched_backend_from_env() {
-  const char* v = std::getenv("LCMPI_SCHED");
-  if (v != nullptr && std::strcmp(v, "heap") == 0) return SchedBackend::kHeap;
-  return SchedBackend::kCalendar;
-}
+Kernel::Kernel() : Kernel(ActorContextMaker{}) {}
 
-std::unique_ptr<EventQueue> make_event_queue(SchedBackend backend) {
-  if (backend == SchedBackend::kHeap)
-    return std::make_unique<HeapEventQueue>();
-  return std::make_unique<CalendarQueue>();
-}
-
-Kernel::Kernel() : Kernel(sched_backend_from_env(), actor_backend_from_env()) {}
-
-Kernel::Kernel(SchedBackend backend)
-    : Kernel(backend, actor_backend_from_env()) {}
-
-Kernel::Kernel(ActorBackend actors)
-    : Kernel(sched_backend_from_env(), actors) {}
-
-Kernel::Kernel(SchedBackend backend, ActorBackend actors)
-    : backend_(backend),
-      actor_backend_(fibers_available() ? actors : ActorBackend::kThreads),
-      queue_(make_event_queue(backend)) {
-  if (actor_backend_ == ActorBackend::kFibers)
-    stack_pool_ = std::make_unique<StackPool>();
+Kernel::Kernel(ActorContextMaker make_context)
+    : make_context_(std::move(make_context)),
+      stack_pool_(std::make_unique<StackPool>()) {
+  events_.reserve(64);
 }
 
 Kernel::~Kernel() { cancel_all_actors(); }
@@ -384,10 +230,9 @@ void Kernel::cancel_all_actors() {
   for (auto& a : actors_) {
     // Resume until the body has actually finished: an actor that catches
     // ActorCancelled and blocks again gets cancelled again, so no fiber
-    // stack stays parked and no thread stays joinable-but-waiting. An
-    // actor whose body never started is discarded outright when its
-    // backend allows (fibers: no stack exists yet); thread contexts must
-    // be resumed once so the parked thread can exit and be joined.
+    // stack stays parked. An actor whose body never started is discarded
+    // outright when its context allows (fibers: no stack exists yet); a
+    // context that parks the body elsewhere is resumed once so it exits.
     while (!a->finished_) {
       if (!a->started_ && a->ctx_->discard_if_unstarted()) {
         a->finished_ = true;
@@ -402,20 +247,18 @@ ActorStats Kernel::actor_stats() const {
   ActorStats s;
   s.switches = actor_switches_;
   s.actors_spawned = actors_spawned_;
-  if (stack_pool_ != nullptr) {
-    const StackPoolStats& p = stack_pool_->stats();
-    s.stacks_allocated = p.allocated;
-    s.stack_reuses = p.reused;
-    s.stack_high_water = p.high_water;
-    s.stack_bytes = p.stack_bytes;
-  }
+  const StackPoolStats& p = stack_pool_->stats();
+  s.stacks_allocated = p.allocated;
+  s.stack_reuses = p.reused;
+  s.stack_high_water = p.high_water;
+  s.stack_bytes = p.stack_bytes;
   return s;
 }
 
 std::unique_ptr<ActorContext> Kernel::make_actor_context(Actor* a) {
-  if (actor_backend_ == ActorBackend::kFibers)
-    return std::make_unique<FiberActorContext>(*stack_pool_, [a] { a->run_body(); });
-  return std::make_unique<ThreadActorContext>([a] { a->run_body(); });
+  std::function<void()> run = [a] { a->run_body(); };
+  if (make_context_) return make_context_(std::move(run));
+  return std::make_unique<FiberActorContext>(*stack_pool_, std::move(run));
 }
 
 std::uint32_t Kernel::borrow_cell() {
@@ -448,7 +291,8 @@ void Kernel::cancel_cell(std::uint32_t idx, std::uint32_t gen) {
 void Kernel::push_event(Event ev) {
   LCMPI_CHECK(ev.time >= now_, "schedule_at in the past");
   ev.seq = next_seq_++;
-  queue_->push(std::move(ev));
+  events_.push_back(std::move(ev));
+  std::push_heap(events_.begin(), events_.end(), EventAfter{});
 }
 
 EventHandle Kernel::schedule(Duration delay, std::function<void()> fn) {
@@ -536,20 +380,23 @@ void Kernel::dispatch(Event& ev) {
   }
 }
 
-void Kernel::drain_one_step(bool& made_progress) {
-  made_progress = false;
-  while (queue_->peek() != nullptr) {
-    Event ev = queue_->pop();
+bool Kernel::step(TimePoint until) {
+  // The bound is checked per popped event, not only before the first: a
+  // cancelled event due by `until` must not let a live one past it run.
+  while (!events_.empty() && events_.front().time <= until) {
+    std::pop_heap(events_.begin(), events_.end(), EventAfter{});
+    Event ev = std::move(events_.back());
+    events_.pop_back();
     if (ev.cell != kNoCell && release_cell(ev.cell)) continue;  // cancelled
-    LCMPI_CHECK(ev.time >= now_, "event queue went backwards");
+    LCMPI_CHECK(ev.time >= now_, "event list went backwards");
     if (ev.time > time_limit_)
       throw SimTimeLimit("virtual time limit exceeded at " + to_string(ev.time));
     now_ = ev.time;
     ++events_executed_;
     dispatch(ev);
-    made_progress = true;
-    return;
+    return true;
   }
+  return false;
 }
 
 namespace {
@@ -563,34 +410,25 @@ struct FlagGuard {
 void Kernel::run() {
   LCMPI_CHECK(!running_, "Kernel::run is not reentrant");
   FlagGuard guard(running_);
-  for (;;) {
-    bool progressed = false;
-    drain_one_step(progressed);
-    if (progressed) continue;
-    // Queue empty: either everything finished, or we are deadlocked.
-    std::string stuck;
-    for (const auto& a : actors_) {
-      if (a->started_ && !a->finished_) {
-        if (!stuck.empty()) stuck += ", ";
-        stuck += a->name();
-      }
-    }
-    if (!stuck.empty())
-      throw SimDeadlock("simulation deadlock at " + to_string(now_) +
-                        "; blocked actors: " + stuck);
-    return;
+  while (step(TimePoint::max())) {
   }
+  // Event list empty: either everything finished, or we are deadlocked.
+  std::string stuck;
+  for (const auto& a : actors_) {
+    if (a->started_ && !a->finished_) {
+      if (!stuck.empty()) stuck += ", ";
+      stuck += a->name();
+    }
+  }
+  if (!stuck.empty())
+    throw SimDeadlock("simulation deadlock at " + to_string(now_) +
+                      "; blocked actors: " + stuck);
 }
 
 void Kernel::run_until(TimePoint t) {
   LCMPI_CHECK(!running_, "Kernel::run is not reentrant");
   FlagGuard guard(running_);
-  for (;;) {
-    const Event* top = queue_->peek();
-    if (top == nullptr || top->time > t) break;
-    bool progressed = false;
-    drain_one_step(progressed);
-    if (!progressed) break;
+  while (step(t)) {
   }
   if (now_ < t) now_ = t;
 }

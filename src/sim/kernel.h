@@ -1,6 +1,6 @@
 // Deterministic discrete-event simulation kernel with cooperative actors.
 //
-// The kernel owns a virtual clock and an event queue. Two kinds of code run
+// The kernel owns a virtual clock and an event list. Two kinds of code run
 // on top of it:
 //
 //  * event handlers — plain callbacks executed on the kernel thread; the
@@ -13,19 +13,16 @@
 // single-threaded in effect: deterministic, race-free on shared state, and
 // repeatable event order (ties broken by insertion sequence).
 //
-// *How* control transfers is pluggable (ActorContext / ActorBackend): the
-// production backend runs each actor as a stackful fiber (src/sim/fiber.h)
-// — a user-space coroutine switched in a few dozen instructions — while
-// the original std::thread + mutex/condvar turn-taking handoff survives
-// verbatim as ThreadActorContext in kernel_ref.h, the executable reference
-// (selectable via LCMPI_ACTORS=threads or a Kernel constructor argument).
-// Both backends make the identical scheduling decisions — which actor
-// starts, yields, or wakes, and in what order, is decided entirely by the
-// kernel's event queue — so every virtual-time observable is bit-identical
-// across them (pinned by tests/actor_backend_test.cpp and the golden
-// figures); only the host-time cost of a switch differs (~10-100x).
+// Each actor runs as a stackful fiber (src/sim/fiber.h): a user-space
+// coroutine switched in a few dozen instructions. The switch goes through
+// the ActorContext interface only so that tests can substitute a
+// std::thread + mutex/condvar handoff (tests/thread_actor_context.h) as a
+// differential oracle; Kernel(ActorContextMaker) is that seam, and nothing
+// in the library uses it. Which actor starts, yields or wakes, and in what
+// order, is decided by the event list alone, so the mechanism cannot move
+// virtual time.
 //
-// Deadlock detection falls out naturally: if the event queue drains while
+// Deadlock detection falls out naturally: if the event list drains while
 // actors are still blocked, no future wakeup can exist, and the kernel
 // reports which actors were stuck — which is exactly what a hung MPI
 // program looks like, so the tests use it to assert deadlock behaviour.
@@ -38,15 +35,11 @@
 // and cancellable timers borrow a cell from the free list and return it
 // when they fire.
 //
-// The event list itself is pluggable (EventQueue): the production backend
-// is a calendar queue (CalendarQueue, O(1) amortized enqueue/dequeue for
-// the timer-heavy TCP/ATM workloads), and the original binary heap survives
-// as HeapEventQueue in kernel_ref.h — the executable specification the
-// differential tests compare against. Both backends implement the same
-// determinism contract: events pop in strictly non-decreasing (time, seq)
-// order, where seq is the kernel-assigned insertion sequence number, so the
-// executed event order — and therefore every virtual-time observable — is
-// identical regardless of backend.
+// The event list is a binary heap over a vector. Events pop in strictly
+// increasing (time, seq) order, where seq is the kernel-assigned insertion
+// sequence number, so the executed schedule — and every virtual-time
+// observable — is a pure function of what was scheduled
+// (tests/sched_property_test.cpp checks it against an independent sort).
 #pragma once
 
 #include <cstdint>
@@ -66,7 +59,7 @@ class Actor;
 class StackPool;  // src/sim/fiber.h
 
 /// Thrown by Kernel::run when every remaining actor is blocked and the event
-/// queue is empty (no wakeup can ever arrive).
+/// list is empty (no wakeup can ever arrive).
 class SimDeadlock : public std::runtime_error {
  public:
   explicit SimDeadlock(std::string what) : std::runtime_error(std::move(what)) {}
@@ -83,27 +76,14 @@ class SimTimeLimit : public std::runtime_error {
 /// Thrown inside actor blocking calls when the kernel is tearing down; it
 /// unwinds the actor's stack (running destructors of locals parked in
 /// Mailbox::pop and friends) and the actor body wrapper swallows it so
-/// fiber stacks can be recycled and threads joined.
+/// fiber stacks can be recycled.
 class ActorCancelled {};
 
 // ------------------------------------------------------- actor execution
 
-/// Which execution mechanism actors use. Fibers (stackful user-space
-/// coroutines, src/sim/fiber.h) are the production default; threads is the
-/// original std::thread + mutex/condvar handoff, retained in kernel_ref.h
-/// as the executable reference.
-enum class ActorBackend : std::uint8_t { kFibers, kThreads };
-
-/// Backend selection from the environment: LCMPI_ACTORS=fibers|threads
-/// (unset or anything else ⇒ fibers; targets with no fiber implementation
-/// always get threads). Read at every Kernel construction, so tests and
-/// CI can flip backends per-world without code changes.
-ActorBackend actor_backend_from_env();
-
 /// Host-side counters for actor execution (host_perf and tests; virtual
 /// time is unaffected by any of this). Switches count one-way transfers —
-/// each kernel→actor resume and each actor→kernel yield is one switch —
-/// and are backend-invariant; the stack fields are fiber-backend-only.
+/// each kernel→actor resume and each actor→kernel yield is one switch.
 struct ActorStats {
   std::uint64_t switches = 0;         // one-way kernel<->actor transfers
   std::uint64_t actors_spawned = 0;
@@ -116,8 +96,8 @@ struct ActorStats {
 /// The execution mechanism of one actor: how its body gets a stack and how
 /// control transfers between the kernel and that stack. Exactly one side
 /// runs at a time; resume() is called on the kernel side only, yield() on
-/// the actor side only. Implementations: the fiber context (kernel.cpp)
-/// and ThreadActorContext (kernel_ref.h).
+/// the actor side only. The kernel's own implementation is a fiber
+/// (kernel.cpp); tests supply another through Kernel(ActorContextMaker).
 class ActorContext {
  public:
   virtual ~ActorContext() = default;
@@ -127,11 +107,9 @@ class ActorContext {
   virtual void yield() = 0;
   /// Teardown fast path: if the body never started and this context can
   /// discard it without ever running it (fibers: nothing is parked on a
-  /// stack yet), do so and return true. Thread contexts must return false
-  /// — a parked thread has to be resumed once so it can exit and be
-  /// joined.
+  /// stack yet), do so and return true. A context whose body is parked
+  /// elsewhere (a thread) returns false and is resumed once so it can exit.
   virtual bool discard_if_unstarted() { return false; }
-  [[nodiscard]] virtual const char* name() const = 0;
 };
 
 /// A waitable condition with condition-variable semantics (no memory): a
@@ -142,6 +120,10 @@ class Trigger {
   Trigger() = default;
   Trigger(const Trigger&) = delete;
   Trigger& operator=(const Trigger&) = delete;
+  /// Actors still registered here outlive the trigger only to be cancelled
+  /// by kernel teardown; the destructor unlinks them so they do not reach
+  /// back into it then.
+  ~Trigger();
 
   void notify_all();
   void notify_one();
@@ -151,6 +133,9 @@ class Trigger {
  private:
   friend class Actor;
   friend class Kernel;
+  /// Unregisters `a` (it is no longer waiting here) and queues its wake.
+  static void wake(Actor* a);
+
   std::vector<Actor*> waiters_;
   // notify_all drains into this reusable buffer before waking, so a waiter
   // that re-registers (mutating waiters_) cannot invalidate the iteration,
@@ -200,9 +185,9 @@ class Actor {
   [[nodiscard]] static std::unique_ptr<Actor> detached(std::string name);
 
   /// Binds an actor as Actor::current() for the calling OS thread and
-  /// restores the previous binding on destruction. The kernel backends
-  /// bind automatically (run_body / resume_from_kernel); only detached
-  /// actors need this.
+  /// restores the previous binding on destruction. The kernel binds its
+  /// own actors (run_body / resume_from_kernel); only detached actors need
+  /// this.
   class [[nodiscard]] BindScope {
    public:
     explicit BindScope(Actor* a);
@@ -223,6 +208,10 @@ class Actor {
   [[nodiscard]] TimePoint now() const;
 
   /// Models local computation: blocks this actor for `d` of virtual time.
+  /// Like every blocking call below, it throws ActorCancelled on entry once
+  /// the kernel is tearing down, before it touches a trigger or queues an
+  /// event: an actor that catches the cancellation and blocks again must
+  /// not register with a trigger that may already be freed.
   void advance(Duration d);
   void wait_until(TimePoint t);
 
@@ -236,17 +225,17 @@ class Actor {
   [[nodiscard]] bool finished() const { return finished_; }
 
   /// The actor whose body the calling code is running inside, or nullptr
-  /// on the kernel side. Valid under every backend: fibers share the
-  /// kernel thread, so the kernel maintains this across switches; a thread
-  /// backend actor sets it once on its own thread.
+  /// on the kernel side. Fibers share the kernel thread, so the kernel
+  /// maintains this across switches; a context that runs the body on a
+  /// thread of its own has it pinned once on that thread (run_body).
   [[nodiscard]] static Actor* current();
 
   /// Actor-local storage (one slot, like pthread_setspecific for simulated
   /// processes): ambient per-rank state for layers like the C API whose
   /// functions take no context argument. Plain thread_local is wrong for
-  /// that purpose under the fiber backend — every fiber would share the
-  /// kernel thread's slot — so such layers key off Actor::current()
-  /// instead. The actor does not own the pointee.
+  /// that purpose — every fiber shares the kernel thread's slot — so such
+  /// layers key off Actor::current() instead. The actor does not own the
+  /// pointee.
   void set_local(void* p) { local_ = p; }
   [[nodiscard]] void* local() const { return local_; }
 
@@ -256,10 +245,20 @@ class Actor {
 
   Actor(Kernel* kernel, std::string name, std::function<void(Actor&)> body);
 
-  /// The body wrapper every backend runs on the actor's own stack: skips
-  /// the body if the kernel is already cancelling, swallows ActorCancelled
-  /// (teardown unwind), captures anything else for the kernel to rethrow.
+  /// The body wrapper every actor context runs on the actor's own stack:
+  /// skips the body if the kernel is already cancelling, swallows
+  /// ActorCancelled (teardown unwind), captures anything else for the
+  /// kernel to rethrow.
   void run_body();
+
+  /// Throws ActorCancelled while the kernel tears down: on entry to every
+  /// blocking call, and when teardown resumes a blocked actor. Leaves the
+  /// actor's trigger first, so no trigger keeps a pointer to an actor the
+  /// kernel is about to free.
+  void throw_if_cancelling();
+  /// Removes this actor from the waiters of the trigger it is registered
+  /// with, if any.
+  void leave_trigger();
 
   // Control transfer (called on the actor side).
   void yield_to_kernel();
@@ -283,142 +282,23 @@ class Actor {
   std::uint64_t wake_epoch_ = 0;  // incremented on every block()
   bool blocked_ = false;
   bool woke_by_trigger_ = false;  // result channel for wait_with_timeout
+  Trigger* waiting_on_ = nullptr;  // the trigger listing this actor, if any
 };
 
-// --------------------------------------------------------- event scheduler
-
-/// Sentinel for "this event holds no cancellation cell".
-inline constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
-
-/// One pending occurrence in the event list. `seq` is assigned by the
-/// kernel at push time and makes (time, seq) a strict total order — the
-/// determinism contract every EventQueue backend must honour.
-struct Event {
-  TimePoint time;
-  std::uint64_t seq = 0;
-  enum class Kind : std::uint8_t { kFn, kWake, kStart };
-  Kind kind = Kind::kFn;
-  bool by_trigger = false;        // kWake
-  std::uint32_t cell = kNoCell;   // cancellation slot, kNoCell = none
-  Actor* actor = nullptr;         // kWake / kStart target
-  std::uint64_t epoch = 0;        // kWake staleness check
-  std::function<void()> fn;       // kFn only (empty otherwise)
-};
-
-/// "a fires after b" — the shared ordering predicate. Used directly as the
-/// comparator of the reference binary heap and inside calendar buckets.
-struct EventAfter {
-  bool operator()(const Event& a, const Event& b) const {
-    if (a.time != b.time) return a.time > b.time;
-    return a.seq > b.seq;
-  }
-};
-
-/// Pluggable pending-event list. Contract: pop() removes and returns the
-/// minimum event under (time, seq); peek() exposes it without removing.
-/// peek() is non-const because backends may advance internal cursors to
-/// locate the minimum (the work is then amortized against the next pop).
-/// Push times never precede the time of the last popped event (the kernel
-/// clock only moves forward), which backends may exploit.
-class EventQueue {
- public:
-  virtual ~EventQueue() = default;
-  /// Enqueues an event (seq already assigned by the kernel).
-  virtual void push(Event&& ev) = 0;
-  /// The minimum pending event, or nullptr if empty. The pointer is
-  /// invalidated by any subsequent push/pop.
-  virtual const Event* peek() = 0;
-  /// Removes and returns the minimum pending event. Precondition: not empty.
-  virtual Event pop() = 0;
-  [[nodiscard]] virtual std::size_t size() const = 0;
-  [[nodiscard]] virtual const char* name() const = 0;
-};
-
-/// Calendar queue (Brown, CACM 1988) with a ladder-style overflow rung.
-///
-/// Layout: a power-of-two array of buckets, each `width_` nanoseconds of
-/// virtual time wide, covering one "window" of bucket_count() consecutive
-/// days starting at `base_day_`. An event whose day (= time / width)
-/// falls inside the window lands in bucket `day & (count-1)`; anything
-/// beyond the window end goes to the unordered overflow rung. Each bucket
-/// is a tiny binary heap under EventAfter, so same-timestamp bursts inside
-/// one bucket stay O(log k) and FIFO-by-seq — never O(k²) scan-min.
-///
-/// The cursor `cur_day_` sweeps forward across the window looking for the
-/// first non-empty bucket; because bucket→day mapping is fixed between
-/// rebuilds, a push behind the cursor (legal: pushes at the current virtual
-/// time after the cursor skipped empty buckets during a peek) just rewinds
-/// the cursor — no remapping needed. When the window drains and only
-/// overflow remains, the queue rebuilds: re-anchor at the clock floor (the
-/// time of the last pop, which lower-bounds every legal push) and
-/// redistribute.
-///
-/// Resize policy: rebuild doubles/halves the bucket array when the
-/// population crosses 2× / ⅛× the bucket count. The width is re-estimated
-/// at each rebuild from the spread of the earliest three quarters of the
-/// pending population (2× their average gap), which keeps the estimate
-/// immune to far-future outliers (watchdogs, idle RTO timers) — those
-/// simply stay in the overflow rung, untouched until their day comes.
-///
-/// Determinism: pops are strictly ordered by (time, seq) — bucket
-/// separation orders distinct days, the in-bucket heap orders the rest, and
-/// window/overflow separation is strict at the boundary — so the executed
-/// schedule is bit-identical to HeapEventQueue's (pinned by
-/// tests/sched_property_test.cpp and tests/golden_determinism_test.cpp).
-class CalendarQueue final : public EventQueue {
- public:
-  CalendarQueue();
-
-  void push(Event&& ev) override;
-  const Event* peek() override;
-  Event pop() override;
-  [[nodiscard]] std::size_t size() const override { return size_; }
-  [[nodiscard]] const char* name() const override { return "calendar"; }
-
-  // Introspection (tests and host_perf).
-  [[nodiscard]] std::size_t bucket_count() const { return buckets_.size(); }
-  [[nodiscard]] std::int64_t bucket_width_ns() const { return width_; }
-  [[nodiscard]] std::size_t overflow_size() const { return overflow_.size(); }
-  [[nodiscard]] std::uint64_t rebuild_count() const { return rebuilds_; }
-
- private:
-  [[nodiscard]] std::int64_t day_of(TimePoint t) const;
-  void place(Event&& ev);      // window bucket or overflow, no resize check
-  void rebuild();              // re-anchor, re-estimate width, redistribute
-
-  std::vector<std::vector<Event>> buckets_;  // each a binary heap (EventAfter)
-  std::vector<Event> overflow_;              // unordered ladder rung
-  std::int64_t width_ = 1;                   // bucket width, ns (>= 1)
-  std::int64_t base_day_ = 0;                // first day of the window
-  std::int64_t cur_day_ = 0;                 // cursor, in [base, base+count]
-  std::int64_t floor_ns_ = 0;                // time of last pop (clock floor);
-                                             // rebuilds anchor the window here
-                                             // because pushes never precede it
-  std::size_t in_window_ = 0;                // events currently in buckets_
-  std::size_t size_ = 0;
-  std::uint64_t rebuilds_ = 0;
-};
-
-/// Which EventQueue backend a Kernel uses. The calendar queue is the
-/// production default; the heap is the executable reference (kernel_ref.h).
-enum class SchedBackend : std::uint8_t { kCalendar, kHeap };
-
-/// Backend selection from the environment: LCMPI_SCHED=calendar|heap
-/// (unset or anything else ⇒ calendar). Read at every Kernel construction,
-/// so tests and CI can flip backends per-world without code changes.
-SchedBackend sched_backend_from_env();
-
-/// Constructs the queue for `backend` (factory shared by Kernel and tests).
-std::unique_ptr<EventQueue> make_event_queue(SchedBackend backend);
+// ------------------------------------------------------------------ kernel
 
 class Kernel {
  public:
-  /// Backends come from the environment: LCMPI_SCHED (default: calendar
-  /// queue) and LCMPI_ACTORS (default: fibers).
+  /// Builds the ActorContext of one actor around `run`, the body wrapper
+  /// the context must execute on the actor's side.
+  using ActorContextMaker =
+      std::function<std::unique_ptr<ActorContext>(std::function<void()> run)>;
+
+  /// Actors run as fibers.
   Kernel();
-  explicit Kernel(SchedBackend backend);
-  explicit Kernel(ActorBackend actors);
-  Kernel(SchedBackend backend, ActorBackend actors);
+  /// Test seam: every actor runs in the context `make_context` builds
+  /// instead of a fiber (the thread oracle, tests/thread_actor_context.h).
+  explicit Kernel(ActorContextMaker make_context);
   Kernel(const Kernel&) = delete;
   Kernel& operator=(const Kernel&) = delete;
   ~Kernel();
@@ -432,7 +312,7 @@ class Kernel {
   /// Creates an actor whose body starts executing at the current time.
   Actor& spawn(std::string name, std::function<void(Actor&)> body);
 
-  /// Runs until the event queue is empty and all actors have finished.
+  /// Runs until the event list is empty and all actors have finished.
   /// Throws SimDeadlock if actors remain blocked with no pending events,
   /// and rethrows the first exception escaping any actor body.
   void run();
@@ -446,21 +326,41 @@ class Kernel {
 
   [[nodiscard]] std::uint64_t events_executed() const { return events_executed_; }
   [[nodiscard]] std::size_t live_actor_count() const;
-  [[nodiscard]] SchedBackend backend() const { return backend_; }
-  [[nodiscard]] const char* scheduler_name() const { return queue_->name(); }
-  [[nodiscard]] std::size_t pending_events() const { return queue_->size(); }
-  [[nodiscard]] ActorBackend actor_backend() const { return actor_backend_; }
-  [[nodiscard]] const char* actor_backend_name() const {
-    return actor_backend_ == ActorBackend::kFibers ? "fibers" : "threads";
-  }
-  /// Context-switch / actor-lifecycle counters (merges the fiber stack
-  /// pool's numbers when that backend is active).
+  /// Queued events, cancelled ones not yet popped included.
+  [[nodiscard]] std::size_t pending_events() const { return events_.size(); }
+  /// Context-switch / actor-lifecycle counters, with the fiber stack
+  /// pool's numbers.
   [[nodiscard]] ActorStats actor_stats() const;
 
  private:
   friend class Actor;
   friend class Trigger;
   friend class EventHandle;
+
+  /// Sentinel for "this event holds no cancellation cell".
+  static constexpr std::uint32_t kNoCell = 0xFFFFFFFFu;
+
+  /// One pending occurrence in the event list. `seq` is assigned at push
+  /// time and makes (time, seq) a strict total order.
+  struct Event {
+    TimePoint time;
+    std::uint64_t seq = 0;
+    enum class Kind : std::uint8_t { kFn, kWake, kStart };
+    Kind kind = Kind::kFn;
+    bool by_trigger = false;        // kWake
+    std::uint32_t cell = kNoCell;   // cancellation slot, kNoCell = none
+    Actor* actor = nullptr;         // kWake / kStart target
+    std::uint64_t epoch = 0;        // kWake staleness check
+    std::function<void()> fn;       // kFn only (empty otherwise)
+  };
+
+  /// "a fires after b": the heap comparator, so the front pops first.
+  struct EventAfter {
+    bool operator()(const Event& a, const Event& b) const {
+      if (a.time != b.time) return a.time > b.time;
+      return a.seq > b.seq;
+    }
+  };
 
   // Pooled cancellation slab. A cell is borrowed while its event is queued
   // and recycled (generation bumped) when the event pops or is skipped.
@@ -483,7 +383,9 @@ class Kernel {
   void cancel_cell(std::uint32_t idx, std::uint32_t gen);
   void dispatch(Event& ev);
   void transfer_to(Actor* a);
-  void drain_one_step(bool& made_progress);
+  /// Executes the earliest live event due at or before `until`, dropping
+  /// cancelled events ahead of it; false if there is none.
+  bool step(TimePoint until);
   void cancel_all_actors();
 
   /// Constructs the ActorContext for a newly spawned actor.
@@ -493,10 +395,9 @@ class Kernel {
   TimePoint time_limit_ = TimePoint::max();
   std::uint64_t next_seq_ = 0;
   std::uint64_t events_executed_ = 0;
-  SchedBackend backend_;
-  ActorBackend actor_backend_;
-  std::unique_ptr<EventQueue> queue_;
-  std::unique_ptr<StackPool> stack_pool_;  // fiber backend only
+  std::vector<Event> events_;       // binary heap under EventAfter
+  ActorContextMaker make_context_;  // empty: fibers from stack_pool_
+  std::unique_ptr<StackPool> stack_pool_;
   std::vector<CancelCell> cells_;
   std::vector<std::uint32_t> free_cells_;
   std::shared_ptr<const bool> alive_ = std::make_shared<const bool>(true);

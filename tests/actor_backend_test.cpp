@@ -1,63 +1,34 @@
-// Differential tests for the actor execution backends: the fiber backend
-// (production) and the thread + mutex/condvar backend (kernel_ref.h, the
-// executable reference) must make *identical* scheduling decisions — which
-// actor starts, yields, or wakes, and in what order, is decided by the
-// kernel's event queue alone, so every observable trace and every virtual
-// timestamp must be bit-identical across backends. Only host time differs.
+// Differential tests for the kernel's actor mechanism: fibers (the
+// production kernel) and the thread + mutex/condvar oracle
+// (tests/thread_actor_context.h, entered through the Kernel test seam) must
+// make *identical* scheduling decisions — which actor starts, yields, or
+// wakes, and in what order, is decided by the kernel's event list alone,
+// so every observable trace and every virtual timestamp must be
+// bit-identical across the two. Only host time differs.
 //
-// Also covers the backend seam itself: environment selection (backend and
-// fiber stack size), actor-local storage (Actor::current / set_local),
+// Also covers the fiber side on its own: the stack size read from the
+// environment, actor-local storage (Actor::current / set_local),
 // cancellation unwind through blocking primitives, and the fiber stack
 // pool's reuse accounting.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
+#include <functional>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "src/sim/fiber.h"
 #include "src/sim/kernel.h"
-#include "src/sim/kernel_ref.h"
 #include "src/sim/mailbox.h"
 #include "src/util/env.h"
+#include "tests/scoped_env.h"
+#include "tests/thread_actor_context.h"
 
 namespace lcmpi::sim {
 namespace {
 
-/// Sets (or, for a null value, unsets) an environment variable in scope
-/// and restores it on exit — e.g. LCMPI_ACTORS forces an actor backend
-/// for every Kernel constructed in scope (mirrors ScopedEnv in
-/// golden_determinism_test.cpp).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* var, const char* value) : var_(var) {
-    const char* old = std::getenv(var);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    if (value != nullptr)
-      ::setenv(var, value, /*overwrite=*/1);
-    else
-      ::unsetenv(var);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(var_, saved_.c_str(), 1);
-    else
-      ::unsetenv(var_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* var_;
-  std::string saved_;
-  bool had_ = false;
-};
-
 /// One observable step of the mixed workload: who did what, and when on
-/// the virtual clock. Backends must produce identical sequences.
+/// the virtual clock. Both mechanisms must produce identical sequences.
 struct TraceEntry {
   std::string what;
   std::int64_t at_ns;
@@ -77,9 +48,10 @@ struct WorkloadResult {
   std::uint64_t switches = 0;
 };
 
-WorkloadResult run_mixed_workload(ActorBackend backend) {
+WorkloadResult run_mixed_workload(ActorMechanism mechanism) {
   WorkloadResult out;
-  Kernel k(backend);
+  const std::unique_ptr<Kernel> kp = make_kernel(mechanism);
+  Kernel& k = *kp;
   Trigger ping, pong, crowd;
   Mailbox<int> mb;
   int turn = 0;
@@ -110,7 +82,7 @@ WorkloadResult run_mixed_workload(ActorBackend backend) {
     }
   });
   // Two actors parked on the same trigger: notify_all wake order must be
-  // registration order under both backends.
+  // registration order under both mechanisms.
   for (const char* name : {"crowd-a", "crowd-b"}) {
     k.spawn(name, [&, name](Actor& self) {
       log(std::string(name) + ":start");
@@ -139,9 +111,8 @@ WorkloadResult run_mixed_workload(ActorBackend backend) {
 }
 
 TEST(ActorBackendTest, MixedWorkloadTraceIdenticalAcrossBackends) {
-  if (!fibers_available()) GTEST_SKIP() << "no fiber backend on this target";
-  const WorkloadResult fib = run_mixed_workload(ActorBackend::kFibers);
-  const WorkloadResult thr = run_mixed_workload(ActorBackend::kThreads);
+  const WorkloadResult fib = run_mixed_workload(ActorMechanism::kFibers);
+  const WorkloadResult thr = run_mixed_workload(ActorMechanism::kThreads);
   ASSERT_EQ(fib.trace.size(), thr.trace.size());
   for (std::size_t i = 0; i < fib.trace.size(); ++i) {
     EXPECT_EQ(fib.trace[i].what, thr.trace[i].what) << "step " << i;
@@ -149,38 +120,21 @@ TEST(ActorBackendTest, MixedWorkloadTraceIdenticalAcrossBackends) {
   }
   EXPECT_EQ(fib.final_ns, thr.final_ns);
   EXPECT_EQ(fib.events, thr.events);
-  // Switch counting is backend-invariant: same schedule, same transfers.
+  // Switch counting is mechanism-invariant: same schedule, same transfers.
   EXPECT_EQ(fib.switches, thr.switches);
   EXPECT_GT(fib.switches, 0u);
 }
 
-TEST(ActorBackendTest, EnvironmentSelectsBackend) {
-  {
-    ScopedEnv scope("LCMPI_ACTORS", "threads");
-    Kernel k;
-    EXPECT_EQ(k.actor_backend(), ActorBackend::kThreads);
-    EXPECT_STREQ(k.actor_backend_name(), "threads");
-  }
-  if (fibers_available()) {
-    ScopedEnv scope("LCMPI_ACTORS", "fibers");
-    Kernel k;
-    EXPECT_EQ(k.actor_backend(), ActorBackend::kFibers);
-    EXPECT_STREQ(k.actor_backend_name(), "fibers");
-  }
-  // Constructor argument wins over a default-constructed environment read.
-  Kernel k(ActorBackend::kThreads);
-  EXPECT_EQ(k.actor_backend(), ActorBackend::kThreads);
-}
-
-void check_current_and_local(ActorBackend backend) {
-  Kernel k(backend);
+void check_current_and_local(ActorMechanism mechanism) {
+  const std::unique_ptr<Kernel> kp = make_kernel(mechanism);
+  Kernel& k = *kp;
   int slot_a = 1, slot_b = 2;
   Trigger tick;
   bool kernel_side_null = false;
   std::vector<int> seen;
   const auto body = [&](int* slot) {
     return [&, slot](Actor& self) {
-      EXPECT_EQ(Actor::current(), &self) << k.actor_backend_name();
+      EXPECT_EQ(Actor::current(), &self) << mechanism_name(mechanism);
       self.set_local(slot);
       for (int i = 0; i < 2; ++i) {
         self.wait(tick);
@@ -205,8 +159,7 @@ void check_current_and_local(ActorBackend backend) {
 }
 
 TEST(ActorBackendTest, ActorCurrentAndLocalSlotPerActor) {
-  if (fibers_available()) check_current_and_local(ActorBackend::kFibers);
-  check_current_and_local(ActorBackend::kThreads);
+  for (const ActorMechanism m : kBothMechanisms) check_current_and_local(m);
 }
 
 /// Sets a flag when destroyed — proof that an actor's stack unwound.
@@ -216,10 +169,11 @@ struct UnwindSentinel {
   bool* flag_;
 };
 
-void check_cancellation_unwind(ActorBackend backend) {
+void check_cancellation_unwind(ActorMechanism mechanism) {
   bool unwound = false, mailbox_unwound = false;
   {
-    Kernel k(backend);
+    const std::unique_ptr<Kernel> kp = make_kernel(mechanism);
+    Kernel& k = *kp;
     Trigger never;
     auto mb = std::make_shared<Mailbox<int>>();
     k.spawn("stuck", [&](Actor& self) {
@@ -241,13 +195,11 @@ void check_cancellation_unwind(ActorBackend backend) {
 }
 
 TEST(ActorBackendTest, CancellationUnwindsBlockedActors) {
-  if (fibers_available()) check_cancellation_unwind(ActorBackend::kFibers);
-  check_cancellation_unwind(ActorBackend::kThreads);
+  for (const ActorMechanism m : kBothMechanisms) check_cancellation_unwind(m);
 }
 
 TEST(ActorBackendTest, FiberStacksAreReusedAcrossActorLifetimes) {
-  if (!fibers_available()) GTEST_SKIP() << "no fiber backend on this target";
-  Kernel k(ActorBackend::kFibers);
+  Kernel k;
   constexpr int kActors = 50;
   int done = 0;
   // Sequential lifetimes: each actor finishes before the next starts, so
@@ -297,10 +249,9 @@ TEST(ActorBackendTest, FiberStackSizeFromEnvIsParsedStrictly) {
 }
 
 TEST(ActorBackendTest, NeverStartedFiberActorAllocatesNoStack) {
-  if (!fibers_available()) GTEST_SKIP() << "no fiber backend on this target";
   bool ran = false;
   {
-    Kernel k(ActorBackend::kFibers);
+    Kernel k;
     k.spawn("never", [&](Actor&) { ran = true; });
     // No run(): the start event never fires and the fiber is created
     // lazily, so no stack has been borrowed yet.
@@ -321,7 +272,6 @@ TEST(ActorBackendTest, ThreadContextHandshakeIsDirectlyExercisable) {
     order.push_back(3);
   });
   ctx_ptr = &ctx;
-  EXPECT_STREQ(ctx.name(), "threads");
   EXPECT_FALSE(ctx.discard_if_unstarted());  // threads must be resumed out
   order.push_back(0);
   ctx.resume();
@@ -331,15 +281,17 @@ TEST(ActorBackendTest, ThreadContextHandshakeIsDirectlyExercisable) {
 }
 
 TEST(ActorBackendTest, SwitchCountersTrackResumes) {
-  Kernel k(ActorBackend::kThreads);
-  k.spawn("hop", [](Actor& self) {
-    for (int i = 0; i < 5; ++i) self.advance(microseconds(1));
-  });
-  k.run();
-  const ActorStats s = k.actor_stats();
-  // 1 start + 5 wakeups, each a resume+yield pair = 2 one-way switches.
-  EXPECT_EQ(s.switches, 12u);
-  EXPECT_EQ(s.actors_spawned, 1u);
+  for (const ActorMechanism m : kBothMechanisms) {
+    const std::unique_ptr<Kernel> k = make_kernel(m);
+    k->spawn("hop", [](Actor& self) {
+      for (int i = 0; i < 5; ++i) self.advance(microseconds(1));
+    });
+    k->run();
+    const ActorStats s = k->actor_stats();
+    // 1 start + 5 wakeups, each a resume+yield pair = 2 one-way switches.
+    EXPECT_EQ(s.switches, 12u) << mechanism_name(m);
+    EXPECT_EQ(s.actors_spawned, 1u) << mechanism_name(m);
+  }
 }
 
 }  // namespace

@@ -14,43 +14,16 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "src/runtime/world.h"
+#include "tests/scoped_env.h"
 #include "tests/world_conformance.h"
 
 namespace lcmpi::mpi {
 namespace {
-
-/// Sets an environment variable for the test's scope; "" means UNSET (the
-/// coll layer treats empty as absent, so unset keeps semantics obvious).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const std::string& value) : name_(name) {
-    if (const char* old = std::getenv(name)) saved_ = old;
-    if (value.empty()) {
-      ::unsetenv(name);
-    } else {
-      ::setenv(name, value.c_str(), /*overwrite=*/1);
-    }
-  }
-  ~ScopedEnv() {
-    if (saved_) {
-      ::setenv(name_, saved_->c_str(), 1);
-    } else {
-      ::unsetenv(name_);
-    }
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* name_;
-  std::optional<std::string> saved_;
-};
 
 constexpr coll::Kind kKinds[] = {coll::Kind::kBcast, coll::Kind::kReduce,
                                  coll::Kind::kAllreduce, coll::Kind::kBarrier};
@@ -140,6 +113,10 @@ TEST(CollSelectTest, ProgrammaticForceBeatsEnv) {
 }
 
 TEST(CollSelectTest, UnsetEmptyOrJunkEnvMeansNoForce) {
+  {
+    ScopedEnv env("LCMPI_COLL", nullptr);
+    EXPECT_FALSE(coll::resolve({}).force.has_value());
+  }
   {
     ScopedEnv env("LCMPI_COLL", "");
     EXPECT_FALSE(coll::resolve({}).force.has_value());

@@ -11,15 +11,10 @@
 // constants and say so in the commit; if it fails after a "pure perf"
 // change, the change is not pure.
 // The fig4/fig6 constants (ATM protocol ladder, TCP stream bandwidth) were
-// harvested from the binary-heap event kernel immediately before the
-// calendar-queue swap; the calendar backend must reproduce them exactly,
-// and the cross-backend test at the bottom re-runs key figures under the
-// retained heap reference (LCMPI_SCHED=heap) to pin that both backends
-// execute the identical schedule.
+// harvested from the binary-heap event kernel.
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 
 #include "src/apps/solver.h"
@@ -29,47 +24,10 @@
 #include "src/inet/cluster.h"
 #include "src/inet/tcp.h"
 #include "src/runtime/world.h"
+#include "tests/scoped_env.h"
 
 namespace lcmpi {
 namespace {
-
-/// Forces one environment variable for every Kernel constructed in scope.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* var, const char* value) : var_(var) {
-    const char* old = std::getenv(var);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    ::setenv(var, value, /*overwrite=*/1);
-  }
-  ~ScopedEnv() {
-    if (had_)
-      ::setenv(var_, saved_.c_str(), 1);
-    else
-      ::unsetenv(var_);
-  }
-  ScopedEnv(const ScopedEnv&) = delete;
-  ScopedEnv& operator=(const ScopedEnv&) = delete;
-
- private:
-  const char* var_;
-  std::string saved_;
-  bool had_ = false;
-};
-
-/// Forces a scheduler backend (LCMPI_SCHED=calendar|heap) in scope.
-class ScopedSchedBackend : public ScopedEnv {
- public:
-  explicit ScopedSchedBackend(const char* backend)
-      : ScopedEnv("LCMPI_SCHED", backend) {}
-};
-
-/// Forces an actor backend (LCMPI_ACTORS=fibers|threads) in scope.
-class ScopedActorBackend : public ScopedEnv {
- public:
-  explicit ScopedActorBackend(const char* backend)
-      : ScopedEnv("LCMPI_ACTORS", backend) {}
-};
 
 /// Steady-state ping-pong: one warm-up round trip, then kIters timed round
 /// trips on rank 0's virtual clock. Mirrors bench/fig2_latency.cpp.
@@ -295,72 +253,8 @@ TEST(GoldenDeterminismTest, Fig6MpiBandwidthVirtualTimes) {
   EXPECT_EQ(fig6_mpi_bw_ns(runtime::Media::kAtm, 16384), 11552671);
 }
 
-TEST(GoldenDeterminismTest, KeyFiguresIdenticalUnderHeapReference) {
-  // The same pinned constants re-checked under the retained heap backend:
-  // the calendar queue and the reference must execute the identical event
-  // schedule, so every figure is backend-invariant.
-  for (const char* backend : {"heap", "calendar"}) {
-    ScopedSchedBackend scope(backend);
-    {
-      runtime::MeikoWorld w(2);
-      EXPECT_EQ((pingpong_ns<runtime::MeikoWorld, mpi::Comm>(w, 64, 10)),
-                1173080) << "fig2 64B under " << backend;
-    }
-    {
-      runtime::ClusterWorld w(2, runtime::Media::kAtm, runtime::Transport::kTcp);
-      EXPECT_EQ((pingpong_ns<runtime::ClusterWorld, mpi::Comm>(w, 1024, 4)),
-                7891528) << "fig5 1024B under " << backend;
-    }
-    EXPECT_EQ(fig4_tcp_rtt_ns(64), 9035936) << "fig4 tcp 64B under " << backend;
-    EXPECT_EQ(fig6_raw_tcp_stream_ns(runtime::Media::kAtm, 4096), 2401037)
-        << "fig6 raw atm 4096B under " << backend;
-  }
-}
-
-TEST(GoldenDeterminismTest, KeyFiguresIdenticalAcrossActorAndSchedBackends) {
-  // The full backend cross-product — {fiber, thread} actors × {calendar,
-  // heap} scheduler — re-checked against the pinned constants. The actor
-  // backend decides only *how* control transfers to an actor, never *which*
-  // actor runs next, so every figure must be invariant across all four
-  // combinations.
-  // Collective selection must stay on the auto table: a forced-algorithm
-  // CI leg (LCMPI_COLL=...) must not perturb these figures — on the Meiko
-  // the solver's collectives ride the hardware broadcast/barrier, which a
-  // software-algorithm force never disables.
-  ScopedEnv coll_scope("LCMPI_COLL", "");
-  for (const char* actors : {"fibers", "threads"}) {
-    ScopedActorBackend actor_scope(actors);
-    for (const char* sched : {"calendar", "heap"}) {
-      ScopedSchedBackend sched_scope(sched);
-      {
-        runtime::MeikoWorld w(2);
-        EXPECT_EQ((pingpong_ns<runtime::MeikoWorld, mpi::Comm>(w, 64, 10)),
-                  1173080) << "fig2 64B under " << actors << "/" << sched;
-      }
-      {
-        runtime::ClusterWorld w(2, runtime::Media::kAtm,
-                                runtime::Transport::kTcp);
-        EXPECT_EQ((pingpong_ns<runtime::ClusterWorld, mpi::Comm>(w, 1024, 4)),
-                  7891528) << "fig5 1024B under " << actors << "/" << sched;
-      }
-      EXPECT_EQ(fig4_tcp_rtt_ns(64), 9035936)
-          << "fig4 tcp 64B under " << actors << "/" << sched;
-      EXPECT_EQ(fig6_raw_tcp_stream_ns(runtime::Media::kAtm, 4096), 2401037)
-          << "fig6 raw atm 4096B under " << actors << "/" << sched;
-    }
-    // One solver point per actor backend: exercises collectives and the
-    // C API-free MPI path with many concurrent ranks.
-    runtime::MeikoWorld w(4);
-    const Duration d = w.run([&](mpi::Comm& c, sim::Actor& self) {
-      (void)apps::solve_parallel(c, self, apps::LinearSystem::random(96, 42),
-                                 apps::sparc_profile());
-    });
-    EXPECT_EQ(d.ns, 28680492) << "fig7 p=4 under " << actors;
-  }
-}
-
 TEST(GoldenDeterminismTest, Fig7SolverVirtualTimes) {
-  ScopedEnv coll_scope("LCMPI_COLL", "");  // pin the auto selection table
+  ScopedEnv coll_scope("LCMPI_COLL", nullptr);  // pin the auto selection table
   const apps::LinearSystem sys = apps::LinearSystem::random(96, 42);
   struct Point { int p; std::int64_t ns; };
   // Re-harvested when the solver's closing barrier moved onto the modelled

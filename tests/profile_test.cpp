@@ -92,18 +92,13 @@ TEST(ProfileTest, ActorReportFormatsKernelCounters) {
   const sim::ActorStats s = k.actor_stats();
   EXPECT_EQ(s.actors_spawned, 2u);
   // Per actor: one start resume + one wakeup resume, 2 one-way switches
-  // each — identical under either backend.
+  // each.
   EXPECT_EQ(s.switches, 8u);
   Table t = actor_report(s);
   EXPECT_EQ(t.rows(), 6u);
-  if (k.actor_backend() == sim::ActorBackend::kFibers) {
-    EXPECT_EQ(s.stacks_allocated + s.stack_reuses, 2u);
-    EXPECT_GT(s.stack_high_water, 0u);
-    EXPECT_GT(s.stack_bytes, 0u);
-  } else {
-    EXPECT_EQ(s.stacks_allocated, 0u);
-    EXPECT_EQ(s.stack_bytes, 0u);
-  }
+  EXPECT_EQ(s.stacks_allocated + s.stack_reuses, 2u);
+  EXPECT_GT(s.stack_high_water, 0u);
+  EXPECT_GT(s.stack_bytes, 0u);
 }
 
 TEST(ProfileTest, FabricReportFormatsScaleGauges) {

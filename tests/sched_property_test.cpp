@@ -1,190 +1,165 @@
-// Randomized differential equivalence: the calendar queue
-// (src/sim/kernel.h) must pop the *identical* event sequence as the
-// retained binary-heap reference (src/sim/kernel_ref.h) — same (time, seq)
-// order, same fire times, same cancellation outcomes — because the kernel
-// converts pop order straight into the executed schedule, and every golden
-// virtual-time figure in EXPERIMENTS.md is pinned on that order.
+// Model-based property test of the kernel's event list. The determinism
+// contract every golden virtual-time figure rests on fits in one sentence:
+// callback events execute in strictly increasing (time, schedule index)
+// order, a cancelled event never executes, and run_until(t) executes
+// exactly the live events due at or before t.
 //
-// Two layers:
-//  * queue-level: random push/pop/peek sequences driven directly at both
-//    EventQueue backends, honouring the queue contract (push times never
-//    precede the last popped time). Workloads include same-timestamp
-//    bursts (FIFO tie-break stress), far-future spills (ladder overflow
-//    rung), and dense/sparse mixtures that force width re-estimation and
-//    bucket-array resizes.
-//  * kernel-level: the same seeded actor/timer workload run on
-//    Kernel(kCalendar) and Kernel(kHeap), asserting identical event
-//    traces, cancellation outcomes, and final virtual clocks.
+// Each workload drives a real Kernel with seeded schedule_at calls — bursts
+// at one timestamp (the FIFO tie-break), far-future events, follow-ups
+// scheduled from inside callbacks (at the current time too), cancels of
+// pending and of already-fired handles, from outside and from inside
+// callbacks — executed in run_until chunks. It checks the executed order
+// against an independent sort of the surviving (time, schedule index)
+// pairs, and the run_until boundary after every chunk.
+//
+// At the bottom, a seeded actor/timer workload runs on both actor
+// mechanisms (fibers and the thread oracle of tests/thread_actor_context.h)
+// and must produce the identical trace.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/sim/kernel.h"
-#include "src/sim/kernel_ref.h"
 #include "src/util/rng.h"
+#include "tests/thread_actor_context.h"
 
 namespace lcmpi::sim {
 namespace {
 
-// ------------------------------------------------------------- queue level
+// ------------------------------------------------------ event-list model
 
-struct QueueWorkload {
+struct Workload {
   std::uint64_t seed = 1;
-  int ops = 6000;
-  double p_push = 0.6;        // else pop (if non-empty)
+  int ops = 3000;
+  double p_schedule = 0.6;    // else cancel (p_cancel) or run a chunk
+  double p_cancel = 0.1;      // also: chance a callback cancels something
   double p_burst = 0.1;       // same-timestamp burst of 2..17 events
-  double p_far = 0.05;        // far-future push (forces overflow rung)
-  std::int64_t near_ns = 50'000;   // near-horizon spread
-  std::int64_t far_ns = 50'000'000'000;  // far-horizon spread (~50 s)
+  double p_far = 0.05;        // far-future event
+  double p_follow_up = 0.2;   // chance a callback schedules a follow-up
+  std::int64_t near_ns = 50'000;          // near-horizon spread
+  std::int64_t far_ns = 50'000'000'000;   // far-horizon spread (~50 s)
 };
 
-Event make_event(TimePoint t, std::uint64_t seq) {
-  Event ev;
-  ev.time = t;
-  ev.seq = seq;
-  return ev;
-}
+struct Scheduled {
+  std::int64_t time_ns = 0;
+  EventHandle handle;
+  bool cancelled = false;  // cancel() issued while still pending
+  bool fired = false;
+};
 
-// Drives both backends with an identical op sequence and checks every pop
-// and peek agree. Push times respect the contract: never before the time
-// of the last pop.
-void run_queue_workload(const QueueWorkload& cfg) {
-  CalendarQueue cal;
-  HeapEventQueue heap;
+void check_against_model(const Workload& cfg) {
+  Kernel k;
   Rng rng(cfg.seed);
-  std::uint64_t next_seq = 0;
-  std::int64_t clock_floor = 0;  // time of last pop
+  std::deque<Scheduled> events;     // index = schedule index
+  std::vector<std::size_t> executed;  // schedule indices, execution order
 
-  auto push_both = [&](std::int64_t t_ns) {
-    const TimePoint t{t_ns};
-    const std::uint64_t seq = next_seq++;
-    cal.push(make_event(t, seq));
-    heap.push(make_event(t, seq));
+  const auto cancel_random = [&] {
+    if (events.empty()) return;
+    Scheduled& e = events[rng.next_below(events.size())];
+    if (!e.fired) e.cancelled = true;  // pending: must never run
+    e.handle.cancel();                 // fired: a stale, harmless cancel
+  };
+  std::function<void(std::int64_t)> schedule = [&](std::int64_t t_ns) {
+    const std::size_t idx = events.size();
+    events.push_back(Scheduled{t_ns, {}, false, false});
+    events[idx].handle = k.schedule_at(TimePoint{t_ns}, [&, idx] {
+      Scheduled& e = events[idx];
+      EXPECT_FALSE(e.fired) << "event " << idx << " ran twice";
+      EXPECT_FALSE(e.cancelled) << "cancelled event " << idx << " ran";
+      EXPECT_EQ(k.now().ns, e.time_ns) << "event " << idx;
+      e.fired = true;
+      executed.push_back(idx);
+      if (rng.chance(cfg.p_follow_up))
+        schedule(k.now().ns + (rng.chance(0.5) ? 0 : rng.uniform(1, cfg.near_ns)));
+      if (rng.chance(cfg.p_cancel)) cancel_random();
+    });
   };
 
   for (int op = 0; op < cfg.ops; ++op) {
-    ASSERT_EQ(cal.size(), heap.size()) << "op " << op << " seed " << cfg.seed;
+    const std::int64_t now = k.now().ns;
     const double r = rng.next_double();
-    if (r < cfg.p_push || cal.size() == 0) {
+    if (r < cfg.p_schedule) {
       const double kind = rng.next_double();
       if (kind < cfg.p_burst) {
-        // Same-timestamp burst: FIFO tie-break must hold across backends.
-        const std::int64_t t = clock_floor + rng.uniform(0, cfg.near_ns);
+        const std::int64_t t = now + rng.uniform(0, cfg.near_ns);
         const int n = static_cast<int>(2 + rng.next_below(16));
-        for (int i = 0; i < n; ++i) push_both(t);
+        for (int i = 0; i < n; ++i) schedule(t);
       } else if (kind < cfg.p_burst + cfg.p_far) {
-        // Far-future event: lands in the calendar's overflow rung and must
-        // still surface in exact order once the window reaches it.
-        push_both(clock_floor + cfg.near_ns + rng.uniform(1, cfg.far_ns));
+        schedule(now + cfg.near_ns + rng.uniform(1, cfg.far_ns));
       } else {
-        push_both(clock_floor + rng.uniform(0, cfg.near_ns));
+        schedule(now + rng.uniform(0, cfg.near_ns));
       }
+    } else if (r < cfg.p_schedule + cfg.p_cancel) {
+      cancel_random();
     } else {
-      const Event* pc = cal.peek();
-      const Event* ph = heap.peek();
-      ASSERT_NE(pc, nullptr) << "op " << op << " seed " << cfg.seed;
-      ASSERT_NE(ph, nullptr) << "op " << op << " seed " << cfg.seed;
-      ASSERT_EQ(pc->time.ns, ph->time.ns) << "op " << op << " seed " << cfg.seed;
-      ASSERT_EQ(pc->seq, ph->seq) << "op " << op << " seed " << cfg.seed;
-      const Event ec = cal.pop();
-      const Event eh = heap.pop();
-      ASSERT_EQ(ec.time.ns, eh.time.ns) << "op " << op << " seed " << cfg.seed;
-      ASSERT_EQ(ec.seq, eh.seq) << "op " << op << " seed " << cfg.seed;
-      ASSERT_GE(ec.time.ns, clock_floor) << "op " << op << " seed " << cfg.seed;
-      clock_floor = ec.time.ns;
+      const std::int64_t until = now + rng.uniform(0, cfg.near_ns);
+      k.run_until(TimePoint{until});
+      ASSERT_EQ(k.now().ns, until) << "op " << op << " seed " << cfg.seed;
+      for (std::size_t i = 0; i < events.size(); ++i) {
+        const Scheduled& e = events[i];
+        ASSERT_EQ(e.fired, !e.cancelled && e.time_ns <= until)
+            << "event " << i << " at " << e.time_ns << " after run_until("
+            << until << "), op " << op << " seed " << cfg.seed;
+      }
     }
   }
+  k.run();
 
-  // Drain: the remaining pops must agree one-for-one.
-  while (cal.size() > 0) {
-    ASSERT_EQ(heap.size(), cal.size());
-    const Event ec = cal.pop();
-    const Event eh = heap.pop();
-    ASSERT_EQ(ec.time.ns, eh.time.ns) << "drain, seed " << cfg.seed;
-    ASSERT_EQ(ec.seq, eh.seq) << "drain, seed " << cfg.seed;
-    ASSERT_GE(ec.time.ns, clock_floor);
-    clock_floor = ec.time.ns;
-  }
-  EXPECT_EQ(heap.size(), 0u);
+  std::vector<std::size_t> model;
+  for (std::size_t i = 0; i < events.size(); ++i)
+    if (!events[i].cancelled) model.push_back(i);
+  std::sort(model.begin(), model.end(), [&](std::size_t a, std::size_t b) {
+    if (events[a].time_ns != events[b].time_ns)
+      return events[a].time_ns < events[b].time_ns;
+    return a < b;
+  });
+  ASSERT_EQ(executed, model) << "seed " << cfg.seed;
+  EXPECT_EQ(k.pending_events(), 0u);
 }
 
 TEST(SchedPropertyTest, RandomPushPopAgreesAcrossSeeds) {
   for (std::uint64_t seed = 1; seed <= 12; ++seed) {
-    QueueWorkload cfg;
+    Workload cfg;
     cfg.seed = seed;
-    run_queue_workload(cfg);
+    check_against_model(cfg);
   }
 }
 
 TEST(SchedPropertyTest, BurstHeavyWorkloadKeepsFifoTieBreak) {
   for (std::uint64_t seed = 100; seed < 110; ++seed) {
-    QueueWorkload cfg;
+    Workload cfg;
     cfg.seed = seed;
     cfg.p_burst = 0.6;  // mostly same-timestamp bursts
     cfg.near_ns = 500;  // few distinct timestamps -> heavy collisions
-    run_queue_workload(cfg);
+    check_against_model(cfg);
   }
 }
 
-TEST(SchedPropertyTest, FarFutureSpillsThroughOverflowRung) {
+TEST(SchedPropertyTest, FarFutureEventsSurfaceInOrder) {
   for (std::uint64_t seed = 200; seed < 210; ++seed) {
-    QueueWorkload cfg;
+    Workload cfg;
     cfg.seed = seed;
-    cfg.p_far = 0.4;  // constant ladder spills and rebuilds
-    run_queue_workload(cfg);
+    cfg.p_far = 0.4;  // a large standing far-future population
+    check_against_model(cfg);
   }
 }
 
 TEST(SchedPropertyTest, PopHeavyDrainAndRefill) {
   for (std::uint64_t seed = 300; seed < 310; ++seed) {
-    QueueWorkload cfg;
+    Workload cfg;
     cfg.seed = seed;
-    cfg.p_push = 0.35;  // queue repeatedly drains to near-empty
-    run_queue_workload(cfg);
+    cfg.p_schedule = 0.35;  // the list repeatedly drains to near-empty
+    check_against_model(cfg);
   }
 }
 
-TEST(SchedPropertyTest, OverflowRungIsActuallyExercised) {
-  // Sanity on the harness itself: the far-future workload must route events
-  // through the overflow rung and trigger rebuilds, otherwise the spill
-  // tests above aren't testing what they claim.
-  CalendarQueue cal;
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 64; ++i) cal.push(make_event(TimePoint{i * 100}, seq++));
-  std::size_t peak_overflow = 0;
-  for (int i = 0; i < 64; ++i) {
-    cal.push(make_event(TimePoint{1'000'000'000 + i * 1'000'000}, seq++));
-    peak_overflow = std::max(peak_overflow, cal.overflow_size());
-  }
-  EXPECT_GT(peak_overflow, 0u);
-  std::int64_t prev = -1;
-  while (cal.size() > 0) {
-    const Event ev = cal.pop();
-    EXPECT_GT(ev.time.ns, prev);
-    prev = ev.time.ns;
-  }
-  EXPECT_GT(cal.rebuild_count(), 0u);
-}
-
-TEST(SchedPropertyTest, BucketArrayGrowsAndShrinksWithPopulation) {
-  CalendarQueue cal;
-  const std::size_t initial = cal.bucket_count();
-  std::uint64_t seq = 0;
-  for (int i = 0; i < 100'000; ++i)
-    cal.push(make_event(TimePoint{(i % 1000) * 10}, seq++));
-  EXPECT_GT(cal.bucket_count(), initial);
-  while (cal.size() > 8) (void)cal.pop();
-  // Shrink happens on the rebuild after the population collapses; push a
-  // far event to force one.
-  cal.push(make_event(TimePoint{100'000'000'000}, seq++));
-  while (cal.size() > 0) (void)cal.pop();
-  EXPECT_LE(cal.bucket_count(), initial * 2);
-}
-
-// ------------------------------------------------------------ kernel level
+// ------------------------------------------------------ actor mechanisms
 
 // One seeded workload of actors, cancellable timers, reschedules (cancel +
 // re-arm), and trigger traffic. Returns the full observable trace.
@@ -195,9 +170,10 @@ struct KernelTrace {
   std::uint64_t executed = 0;
 };
 
-KernelTrace run_kernel_workload(SchedBackend backend, std::uint64_t seed) {
+KernelTrace run_kernel_workload(ActorMechanism mechanism, std::uint64_t seed) {
   KernelTrace trace;
-  Kernel k(backend);
+  const std::unique_ptr<Kernel> kp = make_kernel(mechanism);
+  Kernel& k = *kp;
   Rng rng(seed);
   Trigger tick;
   std::vector<EventHandle> handles(64);
@@ -239,7 +215,7 @@ KernelTrace run_kernel_workload(SchedBackend backend, std::uint64_t seed) {
   });
 
   // Waiter actors racing timeouts against trigger notifies (exercises the
-  // allocation-free wake path and cell recycling under both backends).
+  // allocation-free wake path and cell recycling under both mechanisms).
   for (int w = 0; w < 3; ++w) {
     k.spawn("waiter" + std::to_string(w), [&, w](Actor& self) {
       for (int i = 0; i < 40; ++i) {
@@ -259,27 +235,16 @@ KernelTrace run_kernel_workload(SchedBackend backend, std::uint64_t seed) {
 }
 
 TEST(SchedPropertyTest, KernelWorkloadIdenticalAcrossBackends) {
+  // Timers, cancels and timed trigger waits on fibers and on the thread
+  // oracle: which actor runs when is the event list's decision alone.
   for (std::uint64_t seed = 1; seed <= 10; ++seed) {
-    const KernelTrace cal = run_kernel_workload(SchedBackend::kCalendar, seed);
-    const KernelTrace heap = run_kernel_workload(SchedBackend::kHeap, seed);
-    ASSERT_EQ(cal.events, heap.events) << "seed " << seed;
-    EXPECT_EQ(cal.cancelled, heap.cancelled) << "seed " << seed;
-    EXPECT_EQ(cal.final_ns, heap.final_ns) << "seed " << seed;
-    EXPECT_EQ(cal.executed, heap.executed) << "seed " << seed;
+    const KernelTrace fib = run_kernel_workload(ActorMechanism::kFibers, seed);
+    const KernelTrace thr = run_kernel_workload(ActorMechanism::kThreads, seed);
+    ASSERT_EQ(fib.events, thr.events) << "seed " << seed;
+    EXPECT_EQ(fib.cancelled, thr.cancelled) << "seed " << seed;
+    EXPECT_EQ(fib.final_ns, thr.final_ns) << "seed " << seed;
+    EXPECT_EQ(fib.executed, thr.executed) << "seed " << seed;
   }
-}
-
-TEST(SchedPropertyTest, BackendSelectionFactoryAndNames) {
-  auto cal = make_event_queue(SchedBackend::kCalendar);
-  auto heap = make_event_queue(SchedBackend::kHeap);
-  EXPECT_STREQ(cal->name(), "calendar");
-  EXPECT_STREQ(heap->name(), "heap");
-  Kernel kc(SchedBackend::kCalendar);
-  Kernel kh(SchedBackend::kHeap);
-  EXPECT_EQ(kc.backend(), SchedBackend::kCalendar);
-  EXPECT_EQ(kh.backend(), SchedBackend::kHeap);
-  EXPECT_STREQ(kc.scheduler_name(), "calendar");
-  EXPECT_STREQ(kh.scheduler_name(), "heap");
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 #include "src/atmnet/atm.h"
 #include "src/atmnet/ethernet.h"
 #include "src/meiko/machine.h"
-#include "src/sim/fiber.h"
 #include "src/sim/mailbox.h"
 #include "src/sim/server.h"
+#include "tests/thread_actor_context.h"
 
 namespace lcmpi {
 namespace {
@@ -68,18 +68,20 @@ TEST(SimEdgeTest, ActorFinishingWithoutBlockingIsClean) {
 
 // ------------------------------------------------------ kernel teardown
 // Destroying a kernel mid-run must tear every actor down deterministically
-// under either actor backend: blocked actors unwind via ActorCancelled,
-// never-started actors are discarded, and — the hard case — an actor that
-// *catches* the cancellation and blocks again is cancelled again until its
-// body actually exits (no leaked fiber stack, no unjoined thread).
+// on fibers and on the thread oracle alike: blocked actors unwind via
+// ActorCancelled, never-started actors are discarded, and — the hard case
+// — an actor that *catches* the cancellation and blocks again is cancelled
+// again until its body actually exits (no leaked fiber stack, no unjoined
+// thread), without touching the trigger it tried to block on.
 
-void run_teardown_midway(sim::ActorBackend backend) {
+void run_teardown_midway(sim::ActorMechanism mechanism) {
   int stubborn_catches = 0;
   bool unwound = false;
   bool late_ran = false;
   {
-    sim::Kernel k(backend);
-    sim::Trigger never;
+    const std::unique_ptr<sim::Kernel> kp = sim::make_kernel(mechanism);
+    sim::Kernel& k = *kp;
+    sim::Trigger never;  // declared after the kernel: freed before teardown
     sim::Mailbox<int> mb;
     k.spawn("stubborn", [&](sim::Actor& self) {
       try {
@@ -107,26 +109,58 @@ void run_teardown_midway(sim::ActorBackend backend) {
 }
 
 TEST(SimEdgeTest, TeardownMidRunCancelsActorsUnderFibers) {
-  if (!sim::fibers_available()) GTEST_SKIP() << "no fiber backend";
-  run_teardown_midway(sim::ActorBackend::kFibers);
+  run_teardown_midway(sim::ActorMechanism::kFibers);
 }
 
 TEST(SimEdgeTest, TeardownMidRunCancelsActorsUnderThreads) {
-  run_teardown_midway(sim::ActorBackend::kThreads);
+  run_teardown_midway(sim::ActorMechanism::kThreads);
 }
 
 TEST(SimEdgeTest, TeardownWithoutRunDiscardsAllActors) {
-  for (const sim::ActorBackend backend :
-       {sim::ActorBackend::kFibers, sim::ActorBackend::kThreads}) {
-    if (backend == sim::ActorBackend::kFibers && !sim::fibers_available())
-      continue;
+  for (const sim::ActorMechanism m : sim::kBothMechanisms) {
     bool ran = false;
     {
-      sim::Kernel k(backend);
+      const std::unique_ptr<sim::Kernel> k = sim::make_kernel(m);
       for (int i = 0; i < 4; ++i)
-        k.spawn("unstarted", [&](sim::Actor&) { ran = true; });
+        k->spawn("unstarted", [&](sim::Actor&) { ran = true; });
     }
-    EXPECT_FALSE(ran);
+    EXPECT_FALSE(ran) << sim::mechanism_name(m);
+  }
+}
+
+TEST(SimEdgeTest, TeardownLeavesNoWaiterOnATriggerThatOutlivesTheKernel) {
+  // A trigger the kernel does not outlive must list no actor once the
+  // kernel is gone, or a later notify reaches a freed actor. One actor is
+  // blocked on it when teardown starts; two more catch the cancellation
+  // and then try to block on it, which must throw again before they
+  // register.
+  for (const sim::ActorMechanism m : sim::kBothMechanisms) {
+    sim::Trigger outlives;  // declared before the kernel: destroyed after it
+    int catches = 0;
+    {
+      const std::unique_ptr<sim::Kernel> k = sim::make_kernel(m);
+      k->spawn("blocked", [&](sim::Actor& self) { self.wait(outlives); });
+      k->spawn("waits", [&](sim::Actor& self) {
+        try {
+          self.advance(milliseconds(1));
+        } catch (const sim::ActorCancelled&) {
+          ++catches;
+          self.wait(outlives);
+        }
+      });
+      k->spawn("waits-with-timeout", [&](sim::Actor& self) {
+        try {
+          self.advance(milliseconds(1));
+        } catch (const sim::ActorCancelled&) {
+          ++catches;
+          (void)self.wait_with_timeout(outlives, milliseconds(1));
+        }
+      });
+      k->run_until(TimePoint{microseconds(1).ns});
+    }
+    EXPECT_EQ(catches, 2) << sim::mechanism_name(m);
+    EXPECT_EQ(outlives.waiter_count(), 0u) << sim::mechanism_name(m);
+    outlives.notify_all();  // must touch no actor
   }
 }
 
