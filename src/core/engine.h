@@ -60,8 +60,10 @@ struct CreditGrant {
 
 struct EngineConfig {
   /// Cap on eager payload bytes parked in the unexpected queue; exceeding
-  /// it raises Err::kResources (Burns & Daoud overflow reporting).
-  std::int64_t max_unexpected_bytes = 4 << 20;
+  /// it raises Err::kResources (Burns & Daoud overflow reporting). The
+  /// real fabrics split the same budget among a receiver's senders as
+  /// their credit windows (fabric::credit_window).
+  std::int64_t max_unexpected_bytes = fabric::kCreditBudgetBytes;
   /// false: error completions throw MpiError (MPI_ERRORS_ARE_FATAL).
   /// true: errors are reported in Status (MPI_ERRORS_RETURN) where the
   /// standard allows continuing (truncation); resource errors still throw.

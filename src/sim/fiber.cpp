@@ -5,6 +5,7 @@
 
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 #include "src/util/env.h"
 #include "src/util/status.h"
@@ -98,13 +99,23 @@ FiberStack::~FiberStack() {
 
 std::size_t FiberStack::touched() const {
   // Fresh anonymous pages (and reset() regions) read as zero, so the
-  // deepest nonzero word bounds the stack's high-water mark. Word-wise
-  // scan from the bottom: the untouched span is the common case.
-  const auto* words = reinterpret_cast<const std::uint64_t*>(base_);
-  const std::size_t n = usable_ / sizeof(std::uint64_t);
+  // deepest nonzero word bounds the stack's high-water mark. A page that
+  // is not resident was never written since it was mapped or dropped, so
+  // the scan starts at the lowest resident page: reading the untouched
+  // span below it would fault in a zero page per page for nothing.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::size_t from = 0;
+  std::vector<unsigned char> resident(usable_ / page);
+  if (::mincore(base_, usable_, resident.data()) == 0) {
+    std::size_t p = 0;
+    while (p < resident.size() && (resident[p] & 1) == 0) ++p;
+    from = p * page;
+  }
+  const auto* words = reinterpret_cast<const std::uint64_t*>(base_ + from);
+  const std::size_t n = (usable_ - from) / sizeof(std::uint64_t);
   std::size_t i = 0;
   while (i < n && words[i] == 0) ++i;
-  return usable_ - i * sizeof(std::uint64_t);
+  return usable_ - from - i * sizeof(std::uint64_t);
 }
 
 void FiberStack::reset(std::size_t touched_bytes) {

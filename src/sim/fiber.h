@@ -25,7 +25,8 @@
 // are recycled across actor lifetimes (an actor that finishes returns its
 // stack to the pool before the next one starts); because fresh anonymous
 // pages read as zero, the pool measures each stack's high-water mark on
-// release by scanning for the deepest non-zero byte, then re-zeroes only
+// release by scanning, from its lowest resident page (mincore(2)), for the
+// deepest non-zero byte, then re-zeroes only
 // the touched region — memory cost tracks actual use, not the configured
 // size. The usable stack size is configurable (LCMPI_FIBER_STACK_KB, or
 // StackPool's constructor argument).
@@ -67,8 +68,8 @@ class FiberStack {
   [[nodiscard]] std::size_t usable() const { return usable_; }
 
   /// Bytes from the deepest non-zero byte to the top — the observed stack
-  /// use since the region was last zeroed. O(usable) worst case but scans
-  /// word-at-a-time through the untouched (zero) region.
+  /// use since the region was last zeroed. Costs the depth, not the size:
+  /// the word-wise scan starts at the lowest resident page (mincore(2)).
   [[nodiscard]] std::size_t touched() const;
 
   /// Re-zeroes the touched region so the next borrower starts clean.

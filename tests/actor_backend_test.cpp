@@ -11,7 +11,11 @@
 // cancellation unwind through blocking primitives, and the fiber stack
 // pool's reuse accounting.
 #include <gtest/gtest.h>
+#include <sys/mman.h>
+#include <unistd.h>
 
+#include <algorithm>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <string>
@@ -224,6 +228,47 @@ TEST(ActorBackendTest, FiberStacksAreReusedAcrossActorLifetimes) {
   EXPECT_GE(s.stack_high_water, sizeof(char) * 2048);
   EXPECT_LT(s.stack_high_water, s.stack_bytes);
   EXPECT_GT(s.stack_bytes, 0u);
+}
+
+/// Pages of `s` below `depth` bytes from its top that are resident.
+std::size_t resident_pages_below(const FiberStack& s, std::size_t depth) {
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> vec(s.usable() / page);
+  EXPECT_EQ(::mincore(s.base(), s.usable(), vec.data()), 0);
+  const std::size_t below = (s.usable() - depth) / page;
+  std::size_t resident = 0;
+  for (std::size_t p = 0; p < below; ++p) resident += vec[p] & 1;
+  return resident;
+}
+
+TEST(ActorBackendTest, ReleasingAShallowStackCostsItsDepthNotItsSize) {
+  // The release scan starts at the lowest resident page, so a shallow
+  // fiber's release faults in none of the pages below its depth, and the
+  // depth it reports is exact.
+  const auto page = static_cast<std::size_t>(::sysconf(_SC_PAGESIZE));
+  StackPool pool(std::size_t{1} << 20);
+  {
+    Fiber f(pool, [](void*) {
+      volatile char burn[1024];
+      for (std::size_t j = 0; j < sizeof burn; j += 64) burn[j] = 1;
+    }, nullptr);
+    f.switch_in();
+    ASSERT_TRUE(f.finished());
+  }
+  const std::size_t fiber_depth = pool.stats().high_water;
+  EXPECT_GE(fiber_depth, 1024u);
+  EXPECT_LT(fiber_depth, 16 * page);
+  FiberStack* s = pool.acquire();  // the same stack: LIFO reuse
+  const std::size_t fiber_pages = (fiber_depth + page - 1) / page;
+  EXPECT_EQ(resident_pages_below(*s, fiber_pages * page), 0u);
+
+  // A known depth: the deepest write lands 3 pages less 40 bytes below top.
+  const std::size_t depth = 3 * page - 40;
+  std::memset(static_cast<std::byte*>(s->top()) - depth, 0x7f, depth);
+  pool.release(s);
+  EXPECT_EQ(pool.stats().high_water, std::max(depth, fiber_depth));
+  EXPECT_EQ(s->touched(), 0u);  // reset() zeroed what the release measured
+  EXPECT_EQ(resident_pages_below(*s, std::max(3 * page, fiber_pages * page)), 0u);
 }
 
 TEST(ActorBackendTest, FiberStackSizeFromEnvIsParsedStrictly) {
