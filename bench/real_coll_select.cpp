@@ -6,7 +6,7 @@
 // This harness times every software algorithm, and the table's own pick,
 // on a 4-rank ThreadsWorld (ShmFabric) and a 4-rank AF_UNIX SocketWorld
 // at sizes straddling those crossovers, with each fabric's default eager
-// threshold and credit window.
+// threshold and credit window, and ShmFabric's collective offload off.
 //
 //   real_coll_select
 //
@@ -77,6 +77,10 @@ std::vector<double> time_points(mpi::Comm& c) {
 std::vector<double> run_world(bool sockets, std::optional<Algo> force) {
   mpi::EngineConfig cfg;
   cfg.coll.force = force;
+  // The table picks among the software algorithms; ShmFabric's broadcast
+  // and barrier offload would outrank every force on the world.
+  cfg.use_hw_bcast = false;
+  cfg.use_hw_barrier = false;
   if (!sockets) {
     runtime::ThreadsWorld world(kRanks, {}, cfg);
     return rank0_numbers(world, time_points);

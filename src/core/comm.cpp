@@ -529,7 +529,8 @@ void Comm::bcast(void* buf, int count, const Datatype& type, int root) {
   // software algorithm runs when the offload path is unavailable).
   const bool hw = eng_->caps().hw_broadcast && eng_->config().use_hw_bcast && spans_world();
   if (hw) {
-    // The Meiko hardware broadcast: one launch reaches every node.
+    // The fabric's broadcast: one launch reaches every node (the Meiko's
+    // Elan broadcast, ShmFabric's one published payload).
     const std::uint64_t seq = bcast_seq_++;
     if (my_rank_ == root) {
       eng_->hw_bcast_root(type.pack(buf, count), ctx_coll_, seq);
@@ -818,7 +819,7 @@ void Comm::allreduce_impl(const void* sendbuf, void* recvbuf, int count,
                        eng_->config().coll)) {
     case coll::Algo::kBinomial:
       // Reduce to 0, then bcast — which dispatches again and may take the
-      // hardware broadcast (today's Meiko behavior for short payloads).
+      // fabric's broadcast (on the Meiko and on ShmFabric).
       reduce_impl(sendbuf, recvbuf, count, type, combine, 0, coll::Algo::kBinomial);
       bcast(recvbuf, count, type, 0);
       break;

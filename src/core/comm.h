@@ -7,9 +7,10 @@
 // allreduce over the parent group, so overlapping communicators can never
 // collide (disjoint ones may share ids harmlessly).
 //
-// Collectives are implemented over point-to-point — except broadcast,
-// which uses the fabric's hardware broadcast when available and the
-// communicator spans the world (the paper's Meiko MPI_Bcast).
+// Collectives are implemented over point-to-point — except broadcast and
+// barrier, which use the fabric's hardware broadcast and barrier when it
+// has them and the communicator spans the world (the paper's Meiko
+// MPI_Bcast; ShmFabric's shared counter and shared payload).
 #pragma once
 
 #include <functional>

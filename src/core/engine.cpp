@@ -693,6 +693,10 @@ void Engine::hw_bcast_root(Bytes payload, std::uint32_t context, std::uint64_t s
   const fabric::MpiCosts& c = ep_.fabric().mpi_costs();
   self_.advance(c.envelope_build);
   ep_.hw_broadcast(self_, std::move(msg));
+  // A fabric with every broadcast slot held keeps the message until a
+  // receiver frees one; the receivers free them from their own progress
+  // loops, so wait in this one, handling what arrives meanwhile.
+  if (ep_.hw_broadcast_pending()) progress_until([&] { return !ep_.hw_broadcast_pending(); });
 }
 
 Bytes Engine::hw_bcast_recv(std::uint32_t context, std::uint64_t seq) {

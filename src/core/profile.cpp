@@ -85,6 +85,8 @@ Table fabric_report(const fabric::ShmFabric::Stats& s) {
   t.add_row({"bulk_transfers", std::to_string(s.bulk_transfers)});
   t.add_row({"bulk_bytes", std::to_string(s.bulk_bytes)});
   t.add_row({"rings", std::to_string(s.rings)});
+  t.add_row({"hw_barriers", std::to_string(s.hw_barriers)});
+  t.add_row({"hw_bcasts", std::to_string(s.hw_bcasts)});
   return t;
 }
 

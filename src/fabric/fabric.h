@@ -10,7 +10,10 @@
 //      (Meiko: receiver-initiated DMA *pull* of staged data — caps().pull_bulk;
 //       TCP: CTS back to the sender, which *pushes* the payload; the real
 //       fabrics push it on their one bulk plane — bulk_plane());
-//   3. optionally, hardware broadcast (Meiko only);
+//   3. optionally, collectives below the MPI layer: a hardware broadcast
+//      and barrier (Meiko: the Elan broadcast and combine network;
+//      ShmFabric: one shared payload and one shared arrival counter;
+//      Loop and Stream: the broadcast only);
 //   4. a cost/capability profile: what the MPI layer should charge for
 //      matching and copies, the eager/rendezvous threshold, and which
 //      flow-control discipline the medium requires (single envelope slot
@@ -208,6 +211,12 @@ class Endpoint {
 
   /// Hardware broadcast to every other rank (caps().hw_broadcast only).
   virtual void hw_broadcast(sim::Actor& self, ProtoMsg msg);
+
+  /// True while the last hw_broadcast waits for room to go out: a fabric
+  /// that bounds the broadcasts in flight (ShmFabric) holds the message
+  /// until its poll() can publish it, and the engine progresses until
+  /// then. Default: every broadcast leaves at once.
+  [[nodiscard]] virtual bool hw_broadcast_pending() const { return false; }
 
   /// Enters the fabric's hardware barrier (caps().hw_barrier only). The
   /// fabric delivers one kBarrier message to every rank — this one

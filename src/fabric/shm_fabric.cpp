@@ -4,6 +4,7 @@
 #include <deque>
 #include <map>
 #include <mutex>
+#include <optional>
 
 #include "src/util/spsc_ring.h"
 
@@ -51,6 +52,15 @@ class ShmFabric::Ep final : public Endpoint {
       staged_.pop_front();
       return m;
     }
+    if (pending_bcast_) publish_pending();
+    if (barrier_released()) {
+      barrier_gen_ = 0;
+      ProtoMsg m;
+      m.kind = MsgKind::kBarrier;
+      m.src = rank_;
+      return m;
+    }
+    if (std::optional<ProtoMsg> m = take_bcast()) return m;
     return pop_any();
   }
 
@@ -58,6 +68,7 @@ class ShmFabric::Ep final : public Endpoint {
     const std::uint64_t seen = wake_seq_.load(std::memory_order_acquire);
     const auto ready = [this, seen] {
       if (wake_seq_.load(std::memory_order_acquire) != seen) return true;
+      if (barrier_released() || bcast_ready()) return true;
       const std::size_t k = in_count_.load(std::memory_order_acquire);
       for (std::size_t i = 0; i < k; ++i)
         if (!in_[i]->ring().empty_approx()) return true;
@@ -153,7 +164,112 @@ class ShmFabric::Ep final : public Endpoint {
 
   void notify_arrival() { pad_.unpark(); }
 
+  // --- collectives below the MPI layer: one shared counter, one shared copy
+
+  void hw_barrier_enter(sim::Actor&) override {
+    const auto n = static_cast<std::uint64_t>(owner_.nranks());
+    const std::uint64_t a = owner_.barrier_arrivals_.fetch_add(1, std::memory_order_acq_rel) + 1;
+    barrier_gen_ = (a + n - 1) / n;
+    if (a % n != 0) return;
+    // The arrival that completes the generation: its acquire saw every
+    // earlier arrival's release, and this release-store hands all of them
+    // on to each waiter's acquire, so the barrier orders every rank's
+    // writes before every rank's reads (Win::fence_direct relies on it).
+    owner_.barrier_released_.store(barrier_gen_, std::memory_order_release);
+    unpark_others();
+  }
+
+  void hw_broadcast(sim::Actor&, ProtoMsg msg) override {
+    if (owner_.nranks() == 1) return;  // no receiver: nothing to deliver
+    LCMPI_CHECK(!pending_bcast_, "hw_broadcast while a broadcast waits for a slot");
+    msg.src = rank_;
+    pending_bcast_ = std::move(msg);
+    publish_pending();
+  }
+
+  [[nodiscard]] bool hw_broadcast_pending() const override { return pending_bcast_.has_value(); }
+
  private:
+  using BcastSlot = ShmFabric::BcastSlot;
+
+  /// True once the barrier generation this endpoint entered is released.
+  [[nodiscard]] bool barrier_released() const {
+    return barrier_gen_ != 0 &&
+           owner_.barrier_released_.load(std::memory_order_acquire) >= barrier_gen_;
+  }
+
+  /// True if poll() would find a broadcast to take, or a free slot for
+  /// the one pending here.
+  [[nodiscard]] bool bcast_ready() const {
+    const std::uint64_t published = owner_.bcast_published_.load(std::memory_order_acquire);
+    if (published != next_bcast_) return true;
+    return pending_bcast_ &&
+           owner_.bcast_slots_[published % kBcastSlots].holds.load(std::memory_order_acquire) == 0;
+  }
+
+  /// Publishes the pending broadcast if the next slot is free. If not,
+  /// this rank counts itself among the waiters, so the receiver that
+  /// frees a slot unparks it (the seq_cst fences on both sides close the
+  /// window between its check and that receiver's).
+  void publish_pending() {
+    std::uint64_t p = 0;
+    {
+      const std::lock_guard<std::mutex> lock(owner_.bcast_mu_);
+      p = owner_.bcast_published_.load(std::memory_order_relaxed);
+      BcastSlot& slot = owner_.bcast_slots_[p % kBcastSlots];
+      if (slot.holds.load(std::memory_order_acquire) != 0) {
+        if (!bcast_waiting_) {
+          bcast_waiting_ = true;
+          owner_.bcast_waiters_.fetch_add(1, std::memory_order_relaxed);
+          std::atomic_thread_fence(std::memory_order_seq_cst);
+        }
+        return;
+      }
+      slot.msg = std::move(*pending_bcast_);
+      slot.holds.store(owner_.nranks(), std::memory_order_relaxed);  // N - 1 receivers, plus one
+      owner_.bcast_published_.store(p + 1, std::memory_order_release);
+    }
+    pending_bcast_.reset();
+    if (bcast_waiting_) {
+      bcast_waiting_ = false;
+      owner_.bcast_waiters_.fetch_sub(1, std::memory_order_relaxed);
+    }
+    own_bcasts_.push_back(p);
+    unpark_others();
+  }
+
+  /// The next broadcast another rank published, copied out of its slot
+  /// (this rank's own publications are skipped, not read: their slots
+  /// hold nothing for it and may already carry a later broadcast).
+  std::optional<ProtoMsg> take_bcast() {
+    const std::uint64_t published = owner_.bcast_published_.load(std::memory_order_acquire);
+    while (next_bcast_ != published) {
+      const std::uint64_t p = next_bcast_++;
+      if (!own_bcasts_.empty() && own_bcasts_.front() == p) {
+        own_bcasts_.pop_front();
+        continue;
+      }
+      BcastSlot& slot = owner_.bcast_slots_[p % kBcastSlots];
+      // Receivers copy in parallel. The last one to arrive finds every
+      // other hold dropped, so it takes the root's buffer instead.
+      const bool last = slot.holds.load(std::memory_order_acquire) == 2;
+      ProtoMsg m = last ? ProtoMsg(std::move(slot.msg)) : ProtoMsg(slot.msg);
+      if (slot.holds.fetch_sub(1, std::memory_order_acq_rel) == 2) {
+        slot.msg = ProtoMsg{};  // frees a payload this receiver copied
+        slot.holds.store(0, std::memory_order_release);
+        std::atomic_thread_fence(std::memory_order_seq_cst);
+        if (owner_.bcast_waiters_.load(std::memory_order_relaxed) != 0) unpark_others();
+      }
+      return m;
+    }
+    return std::nullopt;
+  }
+
+  void unpark_others() {
+    for (const std::unique_ptr<Ep>& ep : owner_.eps_)
+      if (ep.get() != this) ep->pad_.unpark();
+  }
+
   /// Pushes one envelope into `ch`, parking on backpressure. Ring full is
   /// transport backpressure: a failed try_push moves nothing (the full
   /// check precedes the move), so msg stays intact for the retry loop.
@@ -257,6 +373,15 @@ class ShmFabric::Ep final : public Endpoint {
   std::map<std::pair<int, std::uint64_t>, Landing> bulk_regs_;
   std::atomic<std::uint64_t> bulk_transfers_{0};
   std::atomic<std::uint64_t> bulk_bytes_{0};
+
+  // Collectives; only this rank's thread touches these. They sit after
+  // the point-to-point fields: placed among them, they moved those
+  // fields' cache lines and cost a traced 8 B ping-pong ~10%.
+  std::uint64_t barrier_gen_ = 0;  // generation awaited, 0 if none
+  std::uint64_t next_bcast_ = 0;   // next publication to take or skip
+  std::deque<std::uint64_t> own_bcasts_;  // this rank's publications not yet skipped
+  std::optional<ProtoMsg> pending_bcast_;  // waiting for a free slot
+  bool bcast_waiting_ = false;  // counted in owner_.bcast_waiters_
 };
 
 ShmFabric::ShmFabric(int nranks, Options opt)
@@ -295,6 +420,8 @@ ShmFabric::Stats ShmFabric::stats() const {
     s.bulk_bytes += ep->bulk_bytes_.load(std::memory_order_relaxed);
     s.rings += ep->in_count_.load(std::memory_order_relaxed);
   }
+  s.hw_barriers = barrier_released_.load(std::memory_order_relaxed);
+  s.hw_bcasts = bcast_published_.load(std::memory_order_relaxed);
   return s;
 }
 

@@ -30,8 +30,24 @@
 // real time here, and endpoint now() reports wall-clock nanoseconds since
 // fabric construction, which is what makes this the repo's first source
 // of real (not virtual) latency numbers.
+//
+// Collectives below the MPI layer, the way the CS/2's Elan runs them: the
+// ranks share one address space, so the fabric offers the hardware
+// barrier and broadcast the Meiko model does (caps hw_barrier and
+// hw_broadcast), and Comm takes them on world-spanning communicators.
+// The barrier is one fabric-wide arrival counter: the rank whose arrival
+// completes a generation release-stores it and unparks every endpoint,
+// and each endpoint's poll() hands its engine one kBarrier per
+// generation. The broadcast root publishes its packed payload once, into
+// one of kBcastSlots slots; each receiver copies out of that slot in its
+// own poll(), in publication order, and the last one frees it. Neither
+// blocks inside the fabric: a barrier waits in the engine's progress
+// loop, which keeps draining inbound rings, and so does a root that finds
+// every slot held.
 #pragma once
 
+#include <array>
+#include <atomic>
 #include <chrono>
 #include <map>
 #include <memory>
@@ -58,8 +74,9 @@ class ShmFabric final : public Fabric {
     /// the receiver catches up.
     std::size_t ring_slots = 1024;
     Options() {
-      caps.hw_broadcast = false;  // software tree broadcast
-      caps.pull_bulk = false;     // push-mode rendezvous (CTS/RDATA)
+      caps.hw_broadcast = true;  // one shared payload, copied out by each receiver
+      caps.hw_barrier = true;    // one shared arrival counter
+      caps.pull_bulk = false;    // push-mode rendezvous (CTS/RDATA)
       caps.flow = FlowControl::kCredit;
       // Fig. 1 on this fabric (bench/fig1_real_transfer, EXPERIMENTS "Fig. 1
       // on real transports"): eager wins through 8 KiB, the direct handoff
@@ -93,8 +110,14 @@ class ShmFabric final : public Fabric {
     std::uint64_t bulk_transfers = 0;  // direct posted-buffer handoffs
     std::uint64_t bulk_bytes = 0;      // bytes moved by those handoffs
     std::uint64_t rings = 0;           // pair rings, each made on its first send
+    std::uint64_t hw_barriers = 0;     // barrier generations released
+    std::uint64_t hw_bcasts = 0;       // broadcasts published
   };
   [[nodiscard]] Stats stats() const;
+
+  /// Broadcasts in flight at once, fabric-wide. A root that finds every
+  /// slot held waits in its engine's progress loop until a slot frees.
+  static constexpr std::size_t kBcastSlots = 8;
 
  private:
   class Ep;
@@ -110,6 +133,30 @@ class ShmFabric final : public Fabric {
   Options opt_;
   std::chrono::steady_clock::time_point epoch_;
   std::vector<std::unique_ptr<Ep>> eps_;  // each owns its inbound rings
+
+  // The collectives' shared state follows, after the fields every send
+  // reads (Ep keeps the same order, for the same reason).
+  //
+  // Barrier: arrivals count up across generations; arrival a belongs to
+  // generation ceil(a / N), and the arrival that completes one
+  // release-stores it into barrier_released_. Each on its own line: every
+  // rank writes the first, waiters only read the second.
+  alignas(64) std::atomic<std::uint64_t> barrier_arrivals_{0};
+  alignas(64) std::atomic<std::uint64_t> barrier_released_{0};
+
+  // Broadcast: publication p sits in slot p % kBcastSlots. A root fills
+  // the slot under bcast_mu_ and release-stores bcast_published_ = p + 1,
+  // which is all a poll() with nothing to take reads, so it has a line to
+  // itself. `holds` counts the receivers yet to copy plus one; the last
+  // receiver clears the slot and stores 0, which frees it.
+  struct alignas(64) BcastSlot {
+    ProtoMsg msg;
+    std::atomic<int> holds{0};
+  };
+  alignas(64) std::atomic<std::uint64_t> bcast_published_{0};
+  alignas(64) std::mutex bcast_mu_;    // orders roots publishing at once
+  std::atomic<int> bcast_waiters_{0};  // roots waiting for a free slot
+  std::array<BcastSlot, kBcastSlots> bcast_slots_;
 };
 
 }  // namespace lcmpi::fabric

@@ -82,9 +82,11 @@ TEST(BufferPoolTest, CollectivesRecycleStagingBuffers) {
   // scatter_allgather staging acquire should be served from the pool.
   // The algorithm is pinned programmatically (outranks LCMPI_COLL): a
   // forced-binomial suite leg would otherwise bcast straight from the
-  // user buffer with no staging at all.
+  // user buffer with no staging at all. The offload is off, since
+  // ShmFabric's broadcast outranks any force on the world.
   mpi::EngineConfig cfg;
   cfg.coll.force = mpi::coll::Algo::kScatterAllgather;
+  cfg.use_hw_bcast = false;
   runtime::ThreadsWorld world(4, {}, cfg);
   world.run([](mpi::Comm& c, sim::Actor&) {
     std::vector<unsigned char> buf(256 << 10);

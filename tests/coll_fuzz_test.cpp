@@ -3,9 +3,10 @@
 // A seeded script of random collective workloads — op x datatype x size x
 // root x communicator subset — runs on LoopWorld once per software
 // algorithm (binomial tree, scatter-allgather, pipelined ring), forced via
-// EngineConfig::coll.force. Every observable (broadcast bytes at each
-// rank, the reduction result at the root, the allreduce result
-// everywhere) must be BYTE-IDENTICAL to the binomial reference: all three
+// EngineConfig::coll.force, and once on a ThreadsWorld, whose world
+// communicator takes ShmFabric's barrier and broadcast offload. Every
+// observable (broadcast bytes at each rank, the reduction result at the
+// root, the allreduce result everywhere) must be BYTE-IDENTICAL to the binomial reference: all three
 // reduction families fold contributions in ascending comm-rank order, so
 // for exactly associative ops (all integer/byte ops, float Min/Max,
 // associative user ops — including non-commutative ones) the algorithm
@@ -205,13 +206,12 @@ void run_phases(Comm& c, const Workload& w, std::vector<std::uint64_t>& log) {
   log.push_back(0xba11);
 }
 
-/// One full LoopWorld run of `w` under `algo`; logs indexed by WORLD rank
-/// (non-members of a subset communicator log a fixed marker).
-std::vector<std::vector<std::uint64_t>> run_workload(const Workload& w, coll::Algo algo) {
+/// One full run of `w` on `world`; logs indexed by WORLD rank (non-members
+/// of a subset communicator log a fixed marker). Each rank writes only its
+/// own log, so a ThreadsWorld's rank threads share nothing here.
+template <typename World>
+std::vector<std::vector<std::uint64_t>> run_on(World& world, const Workload& w) {
   std::vector<std::vector<std::uint64_t>> logs(static_cast<std::size_t>(w.nranks));
-  EngineConfig cfg;
-  cfg.coll.force = algo;
-  runtime::LoopWorld world(w.nranks, {}, cfg);
   world.run([&](Comm& wc, sim::Actor&) {
     auto& log = logs[static_cast<std::size_t>(wc.rank())];
     if (!w.subset) {
@@ -231,6 +231,14 @@ std::vector<std::vector<std::uint64_t>> run_workload(const Workload& w, coll::Al
   return logs;
 }
 
+/// `w` on LoopWorld under `algo`.
+std::vector<std::vector<std::uint64_t>> run_workload(const Workload& w, coll::Algo algo) {
+  EngineConfig cfg;
+  cfg.coll.force = algo;
+  runtime::LoopWorld world(w.nranks, {}, cfg);
+  return run_on(world, w);
+}
+
 TEST(CollFuzzTest, AllAlgorithmsByteIdenticalAcrossFortyEightWorkloads) {
   for (int i = 0; i < 48; ++i) {
     const Workload w = make_workload(i);
@@ -247,6 +255,31 @@ TEST(CollFuzzTest, AllAlgorithmsByteIdenticalAcrossFortyEightWorkloads) {
         EXPECT_EQ(ref[r], got[r])
             << "algorithm " << coll::name(algo) << " diverges from binomial at rank " << r;
       }
+    }
+  }
+}
+
+// The same script on real threads with the default configuration: on the
+// world communicator ShmFabric's barrier and broadcast offload run (and
+// the broadcast half of a binomial allreduce), while the even-rank subsets
+// fall back to the software algorithms. Both must match the LoopWorld
+// binomial reference byte for byte.
+TEST(CollFuzzTest, ThreadsWorldOffloadMatchesTheBinomialReference) {
+  for (int i = 0; i < 48; ++i) {
+    const Workload w = make_workload(i);
+    SCOPED_TRACE(testing::Message()
+                 << "workload " << i << ": nranks=" << w.nranks << " count=" << w.count
+                 << " dtype=" << static_cast<int>(w.dtype) << " op=" << static_cast<int>(w.op)
+                 << " subset=" << w.subset);
+    runtime::ThreadsWorld world(w.nranks);
+    const auto got = run_on(world, w);
+    const auto ref = run_workload(w, coll::Algo::kBinomial);
+    ASSERT_EQ(ref.size(), got.size());
+    for (std::size_t r = 0; r < ref.size(); ++r)
+      EXPECT_EQ(ref[r], got[r]) << "ThreadsWorld diverges from binomial at rank " << r;
+    if (!w.subset) {
+      EXPECT_GE(world.fabric().stats().hw_bcasts, 1u);
+      EXPECT_EQ(world.fabric().stats().hw_barriers, 1u);
     }
   }
 }

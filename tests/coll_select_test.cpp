@@ -6,18 +6,21 @@
 //   * a force collapses the whole table to one algorithm;
 //   * the LCMPI_COLL environment override wins over the table, loses to a
 //     programmatic force, and ignores junk values;
-//   * Meiko hardware offload fires only for world-spanning communicators —
-//     a sub-communicator falls back to the software algorithms (counted at
-//     the Machine) — and is NOT disabled by a forced software algorithm;
+//   * hardware offload fires only for world-spanning communicators — a
+//     sub-communicator falls back to the software algorithms (counted at
+//     the Meiko Machine and in ShmFabric's stats) — and is NOT disabled by
+//     a forced software algorithm;
 //   * a 1-rank allreduce is a pure local copy: no tree, no staging-pool
 //     traffic (the BufferPool acquire count must not move).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "src/core/cart.h"
 #include "src/runtime/world.h"
 #include "tests/scoped_env.h"
 #include "tests/world_conformance.h"
@@ -212,6 +215,83 @@ TEST(CollSelectTest, OffloadRespectsEngineConfigSwitches) {
   });
   EXPECT_EQ(world.machine().hw_bcasts(), 0u);
   EXPECT_EQ(world.machine().hw_barriers(), 0u);
+}
+
+// ------------------------------------- shared-memory offload (ShmFabric)
+
+TEST(CollSelectTest, ShmOffloadServesWorldDupAndCartCommunicators) {
+  // Rule A on real threads: a communicator that spans the world in world
+  // order takes ShmFabric's barrier and broadcast, whether it is the world
+  // itself, a dup, or a Cartesian communicator that keeps ranks in place,
+  // and under a forced software algorithm too. Rank 0 reads the fabric's
+  // counters around each call (no other rank can release a barrier or
+  // publish a broadcast in between), and neither call sends a message.
+  for (const std::optional<coll::Algo> force :
+       {std::optional<coll::Algo>{}, std::optional<coll::Algo>{coll::Algo::kRing}}) {
+    EngineConfig cfg;
+    cfg.coll.force = force;
+    runtime::ThreadsWorld world(4, {}, cfg);
+    fabric::ShmFabric& fab = world.fabric();
+    world.run([&](Comm& c, sim::Actor&) {
+      Comm dup = c.dup();
+      std::optional<CartComm> cart = CartComm::create(c, {2, 2}, {false, false});
+      if (!cart) throw std::runtime_error("every rank fits the 2 x 2 grid");
+      for (Comm* comm : {&c, &dup, &cart->comm()}) {
+        comm->barrier();
+        const fabric::ShmFabric::Stats s0 = fab.stats();
+        const std::int64_t sent0 = c.engine().eager_sends() + c.engine().rendezvous_sends();
+        std::int32_t v = comm->rank() == 0 ? 4242 : 0;
+        comm->bcast(&v, 1, Datatype::int32_type(), 0);
+        EXPECT_EQ(v, 4242);
+        comm->barrier();
+        if (c.rank() != 0) continue;
+        const fabric::ShmFabric::Stats s1 = fab.stats();
+        EXPECT_EQ(s1.hw_bcasts, s0.hw_bcasts + 1);
+        EXPECT_EQ(s1.hw_barriers, s0.hw_barriers + 1);
+        EXPECT_EQ(c.engine().eager_sends() + c.engine().rendezvous_sends(), sent0);
+      }
+    });
+    EXPECT_EQ(world.fabric().stats().hw_bcasts, 3u);
+  }
+}
+
+TEST(CollSelectTest, ShmOffloadLeavesSplitCommunicatorsAndSwitchesAlone) {
+  // A 2-rank split of a 4-rank world runs the software algorithms, and so
+  // does the world itself with the offload switched off: both counters
+  // stay at 0 (split and dup agree on their contexts point to point).
+  const auto sub_collectives = [](Comm& c, sim::Actor&) {
+    std::optional<Comm> sub = c.split(c.rank() < 2 ? 0 : -1, c.rank());
+    if (!sub) return;
+    std::int32_t v = sub->rank() == 0 ? 42 : -1;
+    sub->bcast(&v, 1, Datatype::int32_type(), 0);
+    EXPECT_EQ(v, 42);
+    sub->barrier();
+    std::int32_t sum = 0;
+    sub->allreduce(&v, &sum, 1, Datatype::int32_type(), Op::kSum);
+    EXPECT_EQ(sum, 84);
+  };
+  runtime::ThreadsWorld split_world(4);
+  split_world.run(sub_collectives);
+  EXPECT_EQ(split_world.fabric().stats().hw_bcasts, 0u);
+  EXPECT_EQ(split_world.fabric().stats().hw_barriers, 0u);
+
+  EngineConfig cfg;
+  cfg.use_hw_bcast = false;
+  cfg.use_hw_barrier = false;
+  runtime::ThreadsWorld off(4, {}, cfg);
+  off.run([](Comm& c, sim::Actor&) {
+    std::int32_t v = c.rank() == 0 ? 5 : 0;
+    c.bcast(&v, 1, Datatype::int32_type(), 0);
+    EXPECT_EQ(v, 5);
+    c.barrier();
+    std::int32_t sum = 0;
+    c.allreduce(&v, &sum, 1, Datatype::int32_type(), Op::kSum);
+    EXPECT_EQ(sum, 20);
+    Comm dup = c.dup();
+    dup.barrier();
+  });
+  EXPECT_EQ(off.fabric().stats().hw_bcasts, 0u);
+  EXPECT_EQ(off.fabric().stats().hw_barriers, 0u);
 }
 
 // ------------------------------------------- 1-rank allreduce regression

@@ -113,16 +113,23 @@ TEST(ProfileTest, FabricReportFormatsScaleGauges) {
   EXPECT_EQ(fabric_report(ss).rows(), 17u);
 
   // ShmFabric: live counters from a real run, including the `rings`
-  // scale gauge (a 2-rank allreduce sends both ways: two rings).
+  // scale gauge and the collective offload. A 2-rank allreduce may send
+  // one way only (its broadcast half can take the offload, which builds
+  // no ring), so an exchange makes both rings; the barrier is offloaded.
   runtime::ThreadsWorld w(2);
   w.run([](Comm& c, sim::Actor&) {
     std::int32_t v = c.rank(), sum = 0;
     c.allreduce(&v, &sum, 1, Datatype::int32_type(), Op::kSum);
+    std::int32_t back = -1;
+    c.sendrecv(&sum, 1, Datatype::int32_type(), 1 - c.rank(), 3, &back, 1,
+               Datatype::int32_type(), 1 - c.rank(), 3);
+    c.barrier();
   });
   const fabric::ShmFabric::Stats ts = w.fabric().stats();
   EXPECT_GT(ts.messages, 0u);
   EXPECT_EQ(ts.rings, 2u);
-  EXPECT_EQ(fabric_report(ts).rows(), 6u);
+  EXPECT_EQ(ts.hw_barriers, 1u);
+  EXPECT_EQ(fabric_report(ts).rows(), 8u);
 }
 
 TEST(ProfileTest, ReportListsNonEmptyRowsOnly) {

@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -65,22 +67,31 @@ TEST(ThreadsWorldConformance, Collectives) {
   conform(4, collectives_program);
 }
 
+/// The software collectives only: ShmFabric's barrier and broadcast
+/// offload outranks a forced algorithm on world-spanning communicators.
+mpi::EngineConfig software_collectives(std::optional<mpi::coll::Algo> force = std::nullopt) {
+  mpi::EngineConfig cfg;
+  cfg.coll.force = force;
+  cfg.use_hw_bcast = false;
+  cfg.use_hw_barrier = false;
+  return cfg;
+}
+
 TEST(ThreadsWorldConformance, CollectiveAlgorithmBattery) {
   // The engine-v2 battery (crossover-straddling sizes, non-commutative
   // user-op fold order, zero-length and sub/self-comm collectives), once
-  // per forced software algorithm and once under auto-selection.
-  for (const mpi::coll::Algo algo : mpi::coll::kAllAlgos) {
-    mpi::EngineConfig cfg;
-    cfg.coll.force = algo;
-    conform(4, coll_battery_program, {}, cfg);
-  }
+  // per forced software algorithm and once under auto-selection, with the
+  // offload off so the world communicator reaches them too; then once by
+  // default, where world barriers and broadcasts take the offload.
+  for (const mpi::coll::Algo algo : mpi::coll::kAllAlgos)
+    conform(4, coll_battery_program, {}, software_collectives(algo));
+  conform(4, coll_battery_program, {}, software_collectives());
   conform(4, coll_battery_program);
 }
 
 TEST(ThreadsWorldConformance, CollectiveAlgorithmBatteryOddSize) {
-  mpi::EngineConfig cfg;
-  cfg.coll.force = mpi::coll::Algo::kRing;
-  conform(3, coll_battery_program, {}, cfg);
+  conform(3, coll_battery_program, {}, software_collectives(mpi::coll::Algo::kRing));
+  conform(3, coll_battery_program);
 }
 
 TEST(ThreadsWorldConformance, CreditExhaustion) {
@@ -166,6 +177,150 @@ TEST(ThreadsWorldConformance, WholeBatteryBackToBack) {
   conform(3, collectives_program);
 }
 
+// ----------------------------------- collectives offloaded to shared memory
+
+TEST(ThreadsWorldTest, BarrierWaitKeepsDrainingAFloodPastTheRing) {
+  // Rank 0 enters the barrier first and receives only afterwards; rank 1
+  // floods it with more eager messages than the 8-slot ring holds, then
+  // enters. Rank 1 gets there only because rank 0's barrier wait keeps
+  // draining its inbound rings: a barrier that blocked inside the fabric
+  // would leave rank 1 parked on the full ring for good.
+  fabric::ShmFabric::Options opt;
+  opt.ring_slots = 8;
+  runtime::ThreadsWorld world(2, opt);
+  constexpr int kMsgs = 64;
+  constexpr std::size_t kSize = 64;
+  std::atomic<bool> rank0_entering{false};
+  int intact = 0;
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto byte = Datatype::byte_type();
+    if (c.rank() == 0) {
+      rank0_entering.store(true);
+      c.barrier();
+      std::vector<unsigned char> in(kSize);
+      for (int i = 0; i < kMsgs; ++i) {
+        c.recv(in.data(), static_cast<int>(kSize), byte, 1, 5);
+        if (in == make_payload(1, 5, i, kSize)) ++intact;
+      }
+      return;
+    }
+    while (!rank0_entering.load()) std::this_thread::yield();
+    for (int i = 0; i < kMsgs; ++i) {
+      const auto out = make_payload(1, 5, i, kSize);
+      c.send(out.data(), static_cast<int>(kSize), byte, 0, 5);
+    }
+    c.barrier();
+  });
+  EXPECT_EQ(intact, kMsgs);
+  EXPECT_EQ(world.fabric().stats().hw_barriers, 1u);
+}
+
+TEST(ThreadsWorldTest, BroadcastRootRunsAtMostTheSlotBoundAhead) {
+  // Root 0 issues six times the slot bound of 64 KiB broadcasts while its
+  // receivers start late. It publishes kBcastSlots of them, then waits in
+  // its progress loop: rank 1 holds the oldest slot until it starts, so
+  // however long it waits, the root stays exactly the bound ahead. Then
+  // every payload arrives intact, in call order.
+  constexpr int kRanks = 4;
+  constexpr int kSlots = static_cast<int>(fabric::ShmFabric::kBcastSlots);
+  constexpr int kBcasts = 6 * kSlots;
+  constexpr std::size_t kBytes = 64 << 10;
+  runtime::ThreadsWorld world(kRanks);
+  std::atomic<int> returned{0};
+  std::atomic<int> ahead{-1};
+  std::atomic<int> intact{0};
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto byte = Datatype::byte_type();
+    if (c.rank() == 0) {
+      for (int i = 0; i < kBcasts; ++i) {
+        auto out = make_payload(0, 0, i, kBytes);
+        c.bcast(out.data(), static_cast<int>(kBytes), byte, 0);
+        returned.fetch_add(1);
+      }
+      return;
+    }
+    while (returned.load() < kSlots) std::this_thread::yield();
+    if (c.rank() == 1) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      ahead.store(returned.load());
+    }
+    std::vector<unsigned char> in(kBytes);
+    for (int i = 0; i < kBcasts; ++i) {
+      c.bcast(in.data(), static_cast<int>(kBytes), byte, 0);
+      if (in == make_payload(0, 0, i, kBytes)) intact.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(ahead.load(), kSlots);
+  EXPECT_EQ(intact.load(), (kRanks - 1) * kBcasts);
+  EXPECT_EQ(world.fabric().stats().hw_bcasts, static_cast<std::uint64_t>(kBcasts));
+}
+
+TEST(ThreadsWorldTest, BroadcastsKeepCallOrderAcrossRootsAndCommunicators) {
+  // The engine checks that each context's broadcasts arrive in call order.
+  // Here the root changes on every call on `world`, and a dup broadcasts
+  // from yet another root in between, so publications from every rank
+  // and two contexts interleave in the shared slots.
+  constexpr int kRanks = 4;
+  constexpr int kRounds = 40;
+  runtime::ThreadsWorld world(kRanks);
+  std::atomic<int> intact{0};
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto i32 = Datatype::int32_type();
+    mpi::Comm dup = c.dup();
+    for (int i = 0; i < kRounds; ++i) {
+      const int root_w = i % kRanks;
+      const int root_d = (i + 2) % kRanks;
+      std::int32_t w[4], d[4];
+      for (int k = 0; k < 4; ++k) {
+        w[k] = c.rank() == root_w ? i * 10 + k : -1;
+        d[k] = c.rank() == root_d ? 1000 + i * 10 + k : -1;
+      }
+      c.bcast(w, 4, i32, root_w);
+      dup.bcast(d, 4, i32, root_d);
+      bool ok = true;
+      for (int k = 0; k < 4; ++k) ok = ok && w[k] == i * 10 + k && d[k] == 1000 + i * 10 + k;
+      if (ok) intact.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(intact.load(), kRanks * kRounds);
+  EXPECT_EQ(world.fabric().stats().hw_bcasts, 2u * kRounds);
+}
+
+TEST(ThreadsWorldTest, OffloadedBroadcastEdgeCases) {
+  // On the offload path: a zero-length broadcast, a strided datatype
+  // (packed once at the root, unpacked by each receiver), and a receive
+  // buffer shorter than the payload, which raises kTruncate on every
+  // receiver and leaves the world usable for the barrier after it.
+  constexpr int kRanks = 3;
+  runtime::ThreadsWorld world(kRanks);
+  std::atomic<int> good{0};
+  std::atomic<int> truncated{0};
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto i32 = Datatype::int32_type();
+    std::int32_t untouched = -7;
+    c.bcast(&untouched, 0, i32, 1);
+
+    const auto strided = Datatype::vector(4, 1, 2, i32);
+    std::vector<std::int32_t> root_vals(16), want(16, -1), v(16, -1);
+    for (int i = 0; i < 16; ++i) root_vals[static_cast<std::size_t>(i)] = 100 + i;
+    strided.unpack(strided.pack(root_vals.data(), 2), want.data(), 2);
+    if (c.rank() == 2) v = want = root_vals;
+    c.bcast(v.data(), 2, strided, 2);
+
+    std::int32_t payload[16] = {};
+    try {
+      c.bcast(payload, c.rank() == 0 ? 16 : 8, i32, 0);
+    } catch (const MpiError& e) {
+      if (e.code() == Err::kTruncate) truncated.fetch_add(1);
+    }
+    c.barrier();
+    if (untouched == -7 && v == want) good.fetch_add(1);
+  });
+  EXPECT_EQ(good.load(), kRanks);
+  EXPECT_EQ(truncated.load(), kRanks - 1);
+  EXPECT_EQ(world.fabric().stats().hw_bcasts, 3u);
+}
+
 // ------------------------------------------------------------- one-sided RMA
 
 TEST(ThreadsWorldConformance, OneSidedRmaBattery) {
@@ -229,12 +384,44 @@ TEST(ThreadsWorldScale, RingN128BuildsOneRingPerNeighbour) {
   EXPECT_EQ(world.fabric().stats().rings, static_cast<std::uint64_t>(kN));
 }
 
+TEST(ThreadsWorldScale, OffloadedBarrierAndBroadcastN128) {
+  // 128 rank threads on a few cores: every barrier generation must
+  // release all of them, and each broadcast is copied out 127 times
+  // before its slot frees. The root moves on every call and calls run
+  // back to back, so roots wait for slots held by descheduled ranks.
+  // Nothing here is point to point, so no pair ring is ever made.
+  constexpr int kN = 128;
+  constexpr int kRounds = 3 * static_cast<int>(fabric::ShmFabric::kBcastSlots);
+  constexpr std::size_t kBytes = 1024;
+  runtime::ThreadsWorld world(kN);
+  std::atomic<int> intact{0};
+  world.run([&](mpi::Comm& c, sim::Actor&) {
+    const auto byte = Datatype::byte_type();
+    std::vector<unsigned char> buf(kBytes);
+    for (int i = 0; i < kRounds; ++i) {
+      const int root = (i * 37) % kN;
+      const auto want = make_payload(root, 1, i, kBytes);
+      if (c.rank() == root) buf = want;
+      c.bcast(buf.data(), static_cast<int>(kBytes), byte, root);
+      if (buf == want) intact.fetch_add(1);
+      if (i % 4 == 3) c.barrier();
+    }
+    c.barrier();
+  });
+  EXPECT_EQ(intact.load(), kN * kRounds);
+  const fabric::ShmFabric::Stats s = world.fabric().stats();
+  EXPECT_EQ(s.hw_bcasts, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(s.hw_barriers, static_cast<std::uint64_t>(kRounds / 4 + 1));
+  EXPECT_EQ(s.rings, 0u);
+}
+
 TEST(ThreadsWorldScale, ConformanceN64Ring) {
   conform(64, sendrecv_ring_program);
 }
 
 TEST(ThreadsWorldScale, ConformanceN64Collectives) {
   conform(64, collectives_program);
+  conform(64, collectives_program, {}, software_collectives());
 }
 
 TEST(ThreadsWorldScale, ConformanceN32WildcardGather) {
